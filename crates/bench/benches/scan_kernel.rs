@@ -1,6 +1,6 @@
 //! The `--scan-kernel` matrix on the similarity scan: interpreted tree
-//! walk, compiled automaton, batched lane-interleaved driver, and the
-//! quantized i16 table (single and batched).
+//! walk, compiled automaton, the lane-interleaved driver over the same
+//! tables, and the driver `ClusterAutomaton::scan_batch` selects.
 //!
 //! Each group member is one grid point of [`cluseq_bench::scan_kernel`]:
 //! an alphabet size × average probe length, with throughput in probe
@@ -27,11 +27,8 @@ fn bench_scan_kernel(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("batched", cfg), &fx, |b, fx| {
             b.iter(|| black_box(fx.run_batched()))
         });
-        group.bench_with_input(BenchmarkId::new("quantized", cfg), &fx, |b, fx| {
-            b.iter(|| black_box(fx.run_quantized()))
-        });
-        group.bench_with_input(BenchmarkId::new("quantized_batched", cfg), &fx, |b, fx| {
-            b.iter(|| black_box(fx.run_quantized_batched()))
+        group.bench_with_input(BenchmarkId::new("selected", cfg), &fx, |b, fx| {
+            b.iter(|| black_box(fx.run_selected()))
         });
     }
     group.finish();

@@ -1,13 +1,15 @@
 //! Records the scan-kernel perf trajectory as `BENCH_scan.json`.
 //!
-//! Times the same grid as the `scan_kernel` Criterion bench across the
-//! full `--scan-kernel` matrix — interpreted tree walk, compiled
-//! automaton, batched lane-interleaved driver, quantized i16 table, and
-//! the quantized+batched combination — per probe symbol, and writes one
-//! machine-readable JSON file so successive commits can be compared
-//! without parsing Criterion's output directory. Every measurement
-//! records its median *and* its sample variance, so a regression can be
-//! told apart from a noisy run without re-benching.
+//! Times the same grid as the `scan_kernel` Criterion bench — the
+//! interpreted tree walk, the compiled automaton scanned one sequence at
+//! a time, the lane-interleaved driver over the same tables, and the
+//! driver `ClusterAutomaton::scan_batch` selects from the table size —
+//! per probe symbol, and writes one machine-readable JSON file so
+//! successive commits can be compared without parsing Criterion's output
+//! directory. Every measurement records its median *and* its sample
+//! variance, so a regression can be told apart from a noisy run without
+//! re-benching; each config also records its `table_bytes`, which is what
+//! the driver choice reads, and the file records the host's `cores`.
 //!
 //! ```sh
 //! cargo run --release -p cluseq-bench --bin bench_scan \
@@ -17,12 +19,14 @@
 //! `--quick` shrinks the probe set and repetition count to a smoke-test
 //! size (CI uses it to prove the harness runs; the numbers are noisy).
 //! The target trajectory for the full run: the compiled kernel ≥2× over
-//! interpreted, and at least one of batched/quantized ≥2× over compiled.
+//! interpreted, and the selected driver within one standard deviation of
+//! the faster of the two compiled drivers on every config.
 
 use std::time::Instant;
 
 use cluseq_bench::scan_kernel::{configs, ScanFixture};
 use cluseq_bench::{flag_value, peak_rss_bytes, print_table};
+use cluseq_core::kernel::LANE_CROSSOVER_BYTES;
 
 /// Median and sample variance (n−1) of a sample; sorted in place.
 fn stats(mut xs: Vec<f64>) -> (f64, f64) {
@@ -51,14 +55,17 @@ fn median(xs: Vec<f64>) -> f64 {
 /// one pass of every kernel back to back, so a contention burst on a
 /// shared box lands on all kernels of that round instead of skewing
 /// whichever kernel owned that stretch of wall clock — the per-kernel
-/// medians stay comparable even when the absolute numbers wander.
+/// medians stay comparable even when the absolute numbers wander. Each
+/// round starts one pass later than the last, so no pass always runs on
+/// the caches its predecessor warmed.
 fn time_rounds(reps: usize, symbols: usize, passes: &[&dyn Fn() -> f64]) -> Vec<Vec<f64>> {
     let mut sink = 0.0;
     let mut samples = vec![Vec::with_capacity(reps); passes.len()];
-    for _ in 0..reps {
-        for (kernel, pass) in passes.iter().enumerate() {
+    for round in 0..reps {
+        for offset in 0..passes.len() {
+            let kernel = (round + offset) % passes.len();
             let start = Instant::now();
-            sink += pass();
+            sink += passes[kernel]();
             samples[kernel].push(start.elapsed().as_nanos() as f64 / symbols as f64);
         }
     }
@@ -66,36 +73,30 @@ fn time_rounds(reps: usize, symbols: usize, passes: &[&dyn Fn() -> f64]) -> Vec<
     samples
 }
 
-/// The measured kernels, in display order; `main` pairs each name with
+/// The measured passes, in display order; `main` pairs each name with
 /// its driver closure over the one shared fixture.
-const KERNELS: [&str; 5] = [
-    "interpreted",
-    "compiled",
-    "batched",
-    "quantized",
-    "quantized_batched",
-];
+const PASSES: [&str; 4] = ["interpreted", "compiled", "batched", "selected"];
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let out = flag_value("--out").unwrap_or_else(|| "BENCH_scan.json".to_string());
     let (probes, warmup, reps) = if quick { (8, 1, 5) } else { (64, 3, 21) };
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let mut rows = Vec::new();
     let mut entries = Vec::new();
     let mut compiled_speedups = Vec::new();
     let mut batched_speedups = Vec::new();
-    let mut quantized_speedups = Vec::new();
-    let mut quantized_batched_speedups = Vec::new();
+    let mut selected_speedups = Vec::new();
+    let mut within_one_sd = 0usize;
     for cfg in configs() {
         let fx = ScanFixture::build(cfg, probes);
         let symbols = fx.symbols();
-        let passes: [&dyn Fn() -> f64; 5] = [
+        let passes: [&dyn Fn() -> f64; 4] = [
             &|| fx.run_interpreted(),
             &|| fx.run_compiled(),
             &|| fx.run_batched(),
-            &|| fx.run_quantized(),
-            &|| fx.run_quantized_batched(),
+            &|| fx.run_selected(),
         ];
         for _ in 0..warmup {
             for pass in passes {
@@ -106,28 +107,37 @@ fn main() {
             .into_iter()
             .map(stats)
             .collect();
-        let (interp, compiled, batched, quantized, qbatched) = (
-            measured[0].0,
-            measured[1].0,
-            measured[2].0,
-            measured[3].0,
-            measured[4].0,
-        );
+        let [interp, compiled, batched, selected] = [0, 1, 2, 3].map(|k| measured[k].0);
+        let driver = if fx.automaton.interleaves_lanes() {
+            "lanes"
+        } else {
+            "single"
+        };
+        // The faster compiled driver and its recorded spread: the bar the
+        // selected driver is held to.
+        let (best, best_var) = if compiled <= batched {
+            measured[1]
+        } else {
+            measured[2]
+        };
+        if selected - best <= best_var.sqrt() {
+            within_one_sd += 1;
+        }
         compiled_speedups.push(interp / compiled);
         batched_speedups.push(compiled / batched);
-        quantized_speedups.push(compiled / quantized);
-        quantized_batched_speedups.push(compiled / qbatched);
+        selected_speedups.push(compiled / selected);
+        let table_bytes = fx.automaton.table_bytes();
         rows.push(vec![
             cfg.to_string(),
-            fx.compiled.state_count().to_string(),
+            fx.automaton.tables().state_count().to_string(),
+            format!("{:.2}", table_bytes as f64 / 1e6),
             format!("{interp:.1}"),
             format!("{compiled:.1}"),
             format!("{batched:.1}"),
-            format!("{quantized:.1}"),
-            format!("{qbatched:.1}"),
-            format!("{:.2}x", compiled / qbatched),
+            format!("{selected:.1}"),
+            driver.to_string(),
         ]);
-        let per_kernel: Vec<String> = KERNELS
+        let per_pass: Vec<String> = PASSES
             .iter()
             .zip(&measured)
             .map(|(name, (med, var))| {
@@ -136,47 +146,48 @@ fn main() {
             .collect();
         entries.push(format!(
             "    {{\"config\": \"{cfg}\", \"alphabet\": {}, \"avg_len\": {}, \
-             \"states\": {}, {}, \"speedup\": {:.4}, \
+             \"states\": {}, \"table_bytes\": {table_bytes}, \
+             \"selected_driver\": \"{driver}\", {}, \"speedup\": {:.4}, \
              \"batched_speedup_vs_compiled\": {:.4}, \
-             \"quantized_speedup_vs_compiled\": {:.4}, \
-             \"quantized_batched_speedup_vs_compiled\": {:.4}}}",
+             \"selected_speedup_vs_compiled\": {:.4}}}",
             cfg.alphabet,
             cfg.avg_len,
-            fx.compiled.state_count(),
-            per_kernel.join(", "),
+            fx.automaton.tables().state_count(),
+            per_pass.join(", "),
             interp / compiled,
             compiled / batched,
-            compiled / quantized,
-            compiled / qbatched,
+            compiled / selected,
         ));
     }
 
+    let n_configs = entries.len();
     let median_speedup = median(compiled_speedups);
     let median_batched = median(batched_speedups);
-    let median_quantized = median(quantized_speedups);
-    let median_qbatched = median(quantized_batched_speedups);
+    let median_selected = median(selected_speedups);
     print_table(
         "scan kernel matrix (median ns/symbol)",
         &[
-            "config", "states", "interp", "compiled", "batched", "quant", "q+batch", "q+b/comp",
+            "config", "states", "table MB", "interp", "compiled", "batched", "selected", "driver",
         ],
         &rows,
     );
     println!(
         "\nmedian speedups across the grid: compiled {median_speedup:.2}x over interpreted \
-         (target >= 2x); vs compiled: batched {median_batched:.2}x, quantized \
-         {median_quantized:.2}x, quantized+batched {median_qbatched:.2}x (target >= 2x for \
-         batched and/or quantized)"
+         (target >= 2x); vs compiled: batched {median_batched:.2}x, selected \
+         {median_selected:.2}x; selected driver within one sd of the faster driver on \
+         {within_one_sd}/{n_configs} configs (lane crossover {LANE_CROSSOVER_BYTES} table \
+         bytes, {cores} cores)"
     );
 
     let peak_rss = peak_rss_bytes().unwrap_or(0);
     let json = format!(
         "{{\n  \"bench\": \"scan_kernel\",\n  \"unit\": \"ns_per_symbol\",\n  \
-         \"quick\": {quick},\n  \"peak_rss_bytes\": {peak_rss},\n  \
+         \"quick\": {quick},\n  \"cores\": {cores},\n  \"peak_rss_bytes\": {peak_rss},\n  \
+         \"lane_crossover_bytes\": {LANE_CROSSOVER_BYTES},\n  \
          \"median_speedup\": {median_speedup:.4},\n  \
          \"median_batched_speedup_vs_compiled\": {median_batched:.4},\n  \
-         \"median_quantized_speedup_vs_compiled\": {median_quantized:.4},\n  \
-         \"median_quantized_batched_speedup_vs_compiled\": {median_qbatched:.4},\n  \
+         \"median_selected_speedup_vs_compiled\": {median_selected:.4},\n  \
+         \"selected_within_one_sd\": {within_one_sd},\n  \
          \"configs\": [\n{}\n  ]\n}}\n",
         entries.join(",\n")
     );

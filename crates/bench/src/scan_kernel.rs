@@ -4,21 +4,22 @@
 //! numbers and the recorded `BENCH_scan.json` trajectory are comparable.
 //!
 //! Each point on the grid trains one PST from a synthetic workload,
-//! compiles it, and measures a full similarity pass under every
-//! `--scan-kernel` — interpreted tree walk, compiled automaton, batched
-//! lane-interleaved driver, and the i16 quantized table — over a held-out
-//! probe set. Throughput is reported per probe *symbol*: the scan is a
-//! per-symbol loop, so ns/symbol is the number the kernel actually
-//! changes.
+//! compiles it, and measures a full similarity pass over a held-out probe
+//! set under both `--scan-kernel`s and both drivers of the compiled
+//! tables — interpreted tree walk, single-sequence compiled scan, the
+//! lane-interleaved driver, and the driver
+//! [`ClusterAutomaton::scan_batch`] selects from the table size.
+//! Throughput is reported per probe *symbol*: the scan is a per-symbol
+//! loop, so ns/symbol is the number the kernel actually changes.
 
 use std::fmt;
 
 use cluseq_core::{
-    max_similarity_compiled, max_similarity_compiled_batch, max_similarity_pst,
-    max_similarity_quantized, max_similarity_quantized_batch, BoundedSimilarity,
+    max_similarity_compiled, max_similarity_compiled_batch, max_similarity_pst, BoundedSimilarity,
+    ClusterAutomaton, ScanKernel,
 };
 use cluseq_datagen::SyntheticSpec;
-use cluseq_pst::{CompiledPst, Pst, PstParams, QuantizedPst};
+use cluseq_pst::{Pst, PstParams};
 use cluseq_seq::{BackgroundModel, Symbol};
 
 /// One measured grid point: an alphabet size × an average probe length,
@@ -52,7 +53,7 @@ impl ScanConfig {
     /// data, deeper contexts, and a permissive significance cut — the
     /// tens-of-thousands-of-states automatons whose tables overflow cache
     /// and turn the single-sequence scan latency-bound. This is the
-    /// regime the batched and quantized kernels exist for.
+    /// regime the lane driver exists for.
     pub fn large(alphabet: usize, avg_len: usize) -> Self {
         Self {
             alphabet,
@@ -64,8 +65,8 @@ impl ScanConfig {
     }
 
     /// The largest grid point: double `large`'s training volume and two
-    /// more context levels — protein-database scale, where even the
-    /// quantized tables overflow L2 and the scan is pure memory latency.
+    /// more context levels — protein-database scale, where the tables
+    /// overflow L2 and the scan is pure memory latency.
     pub fn xxl(alphabet: usize, avg_len: usize) -> Self {
         Self {
             alphabet,
@@ -104,9 +105,9 @@ impl fmt::Display for ScanConfig {
 /// short and long sequences, at all three model scales. Alphabet size
 /// moves the per-node successor summation the interpreted path pays;
 /// length moves how deep the scanner sits in the tree on average; model
-/// scale moves the tables across the cache hierarchy — the axis the
-/// batched and quantized kernels exist for, and the regime (tens of
-/// thousands of states) real clustering runs spend their time in.
+/// scale moves the tables across the cache hierarchy — the axis the lane
+/// driver exists for, and the regime (tens of thousands of states) real
+/// clustering runs spend their time in.
 pub fn configs() -> Vec<ScanConfig> {
     let mut grid = Vec::new();
     for scale in [ScanConfig::small, ScanConfig::large, ScanConfig::xxl] {
@@ -122,8 +123,7 @@ pub fn configs() -> Vec<ScanConfig> {
 /// A trained model plus held-out probes, built once per grid point.
 pub struct ScanFixture {
     pub pst: Pst,
-    pub compiled: CompiledPst,
-    pub quantized: QuantizedPst,
+    pub automaton: ClusterAutomaton,
     pub background: BackgroundModel,
     pub probes: Vec<Vec<Symbol>>,
 }
@@ -154,12 +154,11 @@ impl ScanFixture {
             }
         }
         let background = db.background();
-        let compiled = CompiledPst::compile(&pst, &background);
-        let quantized = compiled.quantize();
+        let automaton = ClusterAutomaton::build(&pst, &background, ScanKernel::Compiled)
+            .expect("the compiled kernel builds an automaton");
         Self {
             pst,
-            compiled,
-            quantized,
+            automaton,
             background,
             probes,
         }
@@ -178,11 +177,11 @@ impl ScanFixture {
             .sum()
     }
 
-    /// One full compiled pass over the same probes.
+    /// One full compiled pass over the same probes, one at a time.
     pub fn run_compiled(&self) -> f64 {
         self.probes
             .iter()
-            .map(|p| max_similarity_compiled(&self.compiled, p).log_sim)
+            .map(|p| max_similarity_compiled(self.automaton.tables(), p).log_sim)
             .sum()
     }
 
@@ -191,37 +190,30 @@ impl ScanFixture {
     /// length-grouped chunking can do its job.
     pub fn run_batched(&self) -> f64 {
         let refs: Vec<&[Symbol]> = self.probes.iter().map(Vec::as_slice).collect();
-        let mut sum = 0.0;
-        for verdict in max_similarity_compiled_batch(&self.compiled, &refs, None) {
-            match verdict {
-                BoundedSimilarity::Exact(s) => sum += s.log_sim,
-                BoundedSimilarity::Pruned => unreachable!("unbounded scans never prune"),
-            }
-        }
-        sum
+        checksum(max_similarity_compiled_batch(
+            self.automaton.tables(),
+            &refs,
+            None,
+        ))
     }
 
-    /// One full quantized pass: the i16 ratio table, one probe at a time.
-    pub fn run_quantized(&self) -> f64 {
-        self.probes
-            .iter()
-            .map(|p| max_similarity_quantized(&self.quantized, p).log_sim)
-            .sum()
-    }
-
-    /// One full quantized *batched* pass — the integer table under the
-    /// lane-interleaved driver, the fastest configuration of the matrix.
-    pub fn run_quantized_batched(&self) -> f64 {
+    /// One full pass through [`ClusterAutomaton::scan_batch`]: whichever
+    /// of the two compiled drivers the table size selects.
+    pub fn run_selected(&self) -> f64 {
         let refs: Vec<&[Symbol]> = self.probes.iter().map(Vec::as_slice).collect();
-        let mut sum = 0.0;
-        for verdict in max_similarity_quantized_batch(&self.quantized, &refs, None) {
-            match verdict {
-                BoundedSimilarity::Exact(s) => sum += s.log_sim,
-                BoundedSimilarity::Pruned => unreachable!("unbounded scans never prune"),
-            }
-        }
-        sum
+        checksum(self.automaton.scan_batch(&refs, None))
     }
+}
+
+/// Sums an unbounded pass's scores.
+fn checksum(verdicts: Vec<BoundedSimilarity>) -> f64 {
+    verdicts
+        .into_iter()
+        .map(|verdict| match verdict {
+            BoundedSimilarity::Exact(s) => s.log_sim,
+            BoundedSimilarity::Pruned => unreachable!("unbounded scans never prune"),
+        })
+        .sum()
 }
 
 #[cfg(test)]
@@ -243,20 +235,9 @@ mod tests {
             "the batched driver must sum the same bits as the compiled scan"
         );
         assert_eq!(
-            fx.run_quantized().to_bits(),
-            fx.run_quantized_batched().to_bits(),
-            "the quantized batch driver must sum the same bits as the single scan"
-        );
-        // The quantized checksum is an approximation of the exact one:
-        // per-probe error is bounded, so the summed error is too.
-        let bound: f64 = fx
-            .probes
-            .iter()
-            .map(|p| fx.quantized.error_bound(p.len()))
-            .sum();
-        assert!(
-            (fx.run_compiled() - fx.run_quantized()).abs() <= bound,
-            "quantized checksum drifted past the summed error bound"
+            fx.run_compiled().to_bits(),
+            fx.run_selected().to_bits(),
+            "the selected driver must sum the same bits as the compiled scan"
         );
     }
 }

@@ -130,10 +130,18 @@ mod tests {
         let a = parse("cluster data.txt --scan-kernel warp");
         let err = a.try_get("scan-kernel", ScanKernel::Compiled).unwrap_err();
         assert!(err.starts_with("--scan-kernel warp:"), "{err}");
-        for name in ["interpreted", "compiled", "batched", "quantized"] {
+        for name in ["interpreted", "compiled"] {
             assert!(err.contains(name), "{err} should list {name}");
         }
-        // All four valid names parse.
+        // The retired kernel names are rejected the same way, and the
+        // error says where lane batching went.
+        for retired in ["batched", "quantized"] {
+            let a = parse(&format!("cluster data.txt --scan-kernel {retired}"));
+            let err = a.try_get("scan-kernel", ScanKernel::Compiled).unwrap_err();
+            assert!(err.contains("interpreted|compiled"), "{err}");
+            assert!(err.contains("lane batching is now automatic"), "{err}");
+        }
+        // Both valid names parse.
         for kernel in ScanKernel::ALL {
             let a = parse(&format!("cluster data.txt --scan-kernel {kernel}"));
             assert_eq!(a.try_get("scan-kernel", ScanKernel::Compiled), Ok(kernel));

@@ -68,10 +68,10 @@ SERVE OPTIONS:
                          picks a free port — the bound address is printed)
   --threads N            scoring worker threads per batch (default 1)
   --max-batch N          most requests one scoring batch drains (default 64)
-  --scan-kernel interpreted|compiled|batched|quantized
-                         query scan kernel (default compiled; batched
-                         scores like compiled, quantized trades a bounded
-                         score error for smaller tables)
+  --scan-kernel interpreted|compiled
+                         query scan kernel: walk the suffix tree, or scan
+                         its compiled transition tables; bit-identical
+                         answers (default compiled)
   --frame-timeout-ms MS  slow-loris cutoff: how long a started request may
                          take to finish arriving (default 5000)
   --metrics-addr ADDR    standalone Prometheus exporter for the serve
@@ -126,17 +126,15 @@ CLUSTERING OPTIONS:
                          paper's immediate model updates, or parallel
                          snapshot scoring with a sequential absorb phase
                          (default incremental)
-  --scan-kernel interpreted|compiled|batched|quantized
+  --scan-kernel interpreted|compiled
                          similarity-scan implementation: walk the suffix
-                         tree per symbol; compile each cluster model into
-                         a flat transition-table automaton with
+                         tree per symbol, or compile each cluster model
+                         into a flat transition-table automaton with
                          precomputed log-ratio tables and threshold
-                         early-exit; scan batches of sequences
-                         interleaved through the compiled tables; or scan
-                         i16 fixed-point tables — interpreted, compiled,
-                         and batched are bit-identical, quantized is
-                         deterministic within a documented error bound
-                         (default compiled)
+                         early-exit; bit-identical results (default
+                         compiled). Snapshot passes interleave eight
+                         sequences per automaton automatically once its
+                         tables exceed 512 KiB
   --threads N            worker threads for the scoring passes; results
                          are identical for any value (default 1)
   --store memory|file    corpus access: load the whole file into RAM, or

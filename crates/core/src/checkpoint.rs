@@ -58,7 +58,10 @@
 //! similarity cache to empty, and the v4 fields to their no-op defaults
 //! (`scan_shard`/`model_cache_mb` unset, store kind
 //! [`StoreKind::Memory`] — the only kind older writers had). Writers
-//! always emit the current version.
+//! always emit the current version. Scan-kernel tags 2 and 3 name
+//! kernels that were retired without a version bump: tag 2 loads as
+//! [`ScanKernel::Compiled`] (same tables, same arithmetic), tag 3 is
+//! refused with an error that names the kernel.
 //!
 //! # Delta checkpoints
 //!
@@ -873,17 +876,14 @@ fn save_params(w: &mut impl Write, p: &CluseqParams) -> io::Result<()> {
             ScanMode::Snapshot => 1,
         },
     )?;
-    // v2 field: absent from v1 files, where the loader defaults it. Tags
-    // 2 (batched) and 3 (quantized) extend the original 0/1 value space
-    // without a version bump: old readers reject them as corrupt rather
-    // than misinterpreting them, and old files never contain them.
+    // v2 field: absent from v1 files, where the loader defaults it.
+    // Writers emit 0 or 1 only; tags 2 and 3 come from older writers (see
+    // `load_params`).
     write_u8(
         w,
         match p.scan_kernel {
             ScanKernel::Interpreted => 0,
             ScanKernel::Compiled => 1,
-            ScanKernel::Batched => 2,
-            ScanKernel::Quantized => 3,
         },
     )?;
     write_u64(w, p.threads as u64)?;
@@ -965,13 +965,20 @@ fn load_params(r: &mut impl Read, version: u32) -> Result<CluseqParams, SerialEr
         _ => return Err(SerialError::Corrupt("scan mode tag")),
     };
     // v1 predates the kernel choice; Compiled is safe because the two
-    // kernels are bit-identical, so the resumed run replays exactly.
+    // kernels are bit-identical, so the resumed run replays exactly. Tag 2
+    // named the retired `batched` kernel: the compiled tables under a lane
+    // driver, the same arithmetic, so it resumes as Compiled. Tag 3 named
+    // approximate tables that no longer exist, so its run cannot replay.
     let scan_kernel = if version >= 2 {
         match read_u8(r)? {
             0 => ScanKernel::Interpreted,
-            1 => ScanKernel::Compiled,
-            2 => ScanKernel::Batched,
-            3 => ScanKernel::Quantized,
+            1 | 2 => ScanKernel::Compiled,
+            3 => {
+                return Err(SerialError::Corrupt(
+                    "scan kernel tag 3 names the removed quantized kernel, \
+                     whose scores no remaining kernel reproduces",
+                ))
+            }
             _ => return Err(SerialError::Corrupt("scan kernel tag")),
         }
     } else {

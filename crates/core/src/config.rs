@@ -65,20 +65,19 @@ impl std::str::FromStr for ScanMode {
 
 /// Which implementation evaluates the per-symbol similarity DP.
 ///
-/// The first three kernels compute the exact same X/Y/Z dynamic program
-/// and are **bit-identical** in every outcome (the compiled tables hold
-/// the very f64 values the interpreted path computes per symbol, consumed
-/// in the same per-sequence order — batching interleaves sequences but
-/// never reorders one sequence's arithmetic); they differ only in speed
-/// and in the `pairs_pruned` telemetry counter, since the automaton
-/// kernels can prove mid-scan that a pair cannot reach the threshold and
-/// exit early. The quantized kernel trades exactness for a 4× smaller hot
-/// table: its scores deviate from the exact kernels by at most a
-/// documented per-automaton bound
-/// ([`QuantizedPst::error_bound`](cluseq_pst::QuantizedPst::error_bound))
-/// while remaining **byte-stable** — a pure deterministic function of
-/// (model, sequence), so cached columns and checkpoint/resume determinism
-/// hold exactly as for the exact kernels.
+/// Both kernels compute the exact same X/Y/Z dynamic program and are
+/// **bit-identical** in every outcome: the compiled tables hold the very
+/// f64 values the interpreted path computes per symbol, consumed in the
+/// same per-sequence order. They differ only in speed and in the
+/// `pairs_pruned` telemetry counter, since the automaton can prove
+/// mid-scan that a pair cannot reach the threshold and exit early.
+///
+/// Whether a bulk pass scans one sequence at a time or interleaves
+/// [`BATCH_LANES`](crate::similarity::BATCH_LANES) sequences per
+/// automaton is not a kernel choice:
+/// [`ClusterAutomaton::scan_batch`](crate::ClusterAutomaton::scan_batch)
+/// picks the lane driver from the automaton's table size, and its
+/// per-lane arithmetic is the single-sequence scan's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum ScanKernel {
     /// Walk the PST per symbol via the [context
@@ -90,30 +89,11 @@ pub enum ScanKernel {
     /// loop two array loads per symbol with threshold early-exit.
     #[default]
     Compiled,
-    /// The compiled automaton driven by the batched scan
-    /// ([`cluseq_pst::BatchScanner`]): snapshot score phases interleave
-    /// [`BATCH_LANES`](crate::similarity::BATCH_LANES) sequences per
-    /// automaton so table loads overlap instead of serializing on the
-    /// goto chain. Bit-identical to [`Compiled`](Self::Compiled) in every
-    /// outcome; serial paths (incremental-mode scans, single-sequence
-    /// classification) fall back to the per-pair compiled scan, which is
-    /// the same arithmetic.
-    Batched,
-    /// The batched driver over an `i16` fixed-point ratio table
-    /// ([`cluseq_pst::QuantizedPst`]): integer-only DP, 6 bytes per table
-    /// entry instead of 12, slack-free early exit. Similarities deviate
-    /// from the exact kernels within the documented quantization bound.
-    Quantized,
 }
 
 impl ScanKernel {
     /// Every kernel, in the order the CLI documents them.
-    pub const ALL: [ScanKernel; 4] = [
-        ScanKernel::Interpreted,
-        ScanKernel::Compiled,
-        ScanKernel::Batched,
-        ScanKernel::Quantized,
-    ];
+    pub const ALL: [ScanKernel; 2] = [ScanKernel::Interpreted, ScanKernel::Compiled];
 
     /// Whether this kernel scans via a precompiled automaton (everything
     /// but [`Interpreted`](Self::Interpreted)) — and therefore supports
@@ -121,25 +101,16 @@ impl ScanKernel {
     pub fn uses_automaton(self) -> bool {
         !matches!(self, ScanKernel::Interpreted)
     }
-
-    /// Whether this kernel's similarities are bit-identical to the
-    /// interpreted reference (everything but
-    /// [`Quantized`](Self::Quantized)).
-    pub fn is_exact(self) -> bool {
-        !matches!(self, ScanKernel::Quantized)
-    }
 }
 
 impl std::fmt::Display for ScanKernel {
     /// Renders the same lowercase token [`FromStr`](std::str::FromStr)
-    /// accepts (`interpreted` / `compiled` / `batched` / `quantized`), so
-    /// the value round-trips through config files and run reports.
+    /// accepts (`interpreted` / `compiled`), so the value round-trips
+    /// through config files and run reports.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             ScanKernel::Interpreted => "interpreted",
             ScanKernel::Compiled => "compiled",
-            ScanKernel::Batched => "batched",
-            ScanKernel::Quantized => "quantized",
         })
     }
 }
@@ -151,10 +122,9 @@ impl std::str::FromStr for ScanKernel {
         match s {
             "interpreted" => Ok(ScanKernel::Interpreted),
             "compiled" => Ok(ScanKernel::Compiled),
-            "batched" => Ok(ScanKernel::Batched),
-            "quantized" => Ok(ScanKernel::Quantized),
             other => Err(format!(
-                "unknown scan kernel {other:?} (expected interpreted|compiled|batched|quantized)"
+                "unknown scan kernel {other:?} (expected interpreted|compiled; \
+                 lane batching is now automatic for large models)"
             )),
         }
     }
@@ -631,8 +601,19 @@ mod tests {
     #[test]
     fn scan_kernel_rejects_unknown_names_listing_the_valid_set() {
         let err = "warp".parse::<ScanKernel>().unwrap_err();
-        for token in ["warp", "interpreted", "compiled", "batched", "quantized"] {
+        for token in [
+            "warp",
+            "interpreted",
+            "compiled",
+            "lane batching is now automatic",
+        ] {
             assert!(err.contains(token), "error {err:?} must mention {token}");
+        }
+        // The retired driver and table choices get the same answer.
+        for removed in ["batched", "quantized"] {
+            let err = removed.parse::<ScanKernel>().unwrap_err();
+            assert!(err.contains("interpreted|compiled"), "{err}");
+            assert!(err.contains("lane batching is now automatic"), "{err}");
         }
     }
 
@@ -640,10 +621,7 @@ mod tests {
     fn scan_kernel_classification_helpers() {
         use ScanKernel::*;
         assert!(!Interpreted.uses_automaton());
-        assert!(Compiled.uses_automaton() && Batched.uses_automaton());
-        assert!(Quantized.uses_automaton());
-        assert!(Interpreted.is_exact() && Compiled.is_exact() && Batched.is_exact());
-        assert!(!Quantized.is_exact());
+        assert!(Compiled.uses_automaton());
     }
 
     #[test]

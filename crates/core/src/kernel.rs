@@ -1,78 +1,73 @@
-//! Kernel dispatch: one handle for "a cluster model, prepared for
-//! whichever scan kernel the run selected".
+//! Kernel dispatch: one handle for "a cluster model, compiled for the
+//! automaton scan kernel".
 //!
 //! The scan call-sites — recluster's serial arms, seeding's farthest-first
 //! folds, the final assignment sweep, serve's classifier, and the score
-//! engine's snapshot passes — all need the same four-way choice: walk the
-//! PST directly (interpreted), scan a [`CompiledPst`], scan it through the
-//! batched driver, or scan a [`QuantizedPst`]. [`ClusterAutomaton`] folds
-//! the three automaton-backed kernels into one value so every call-site
-//! matches once at *build* time and then scans through a uniform API,
-//! instead of re-encoding the kernel match in every loop.
-//!
-//! Batched vs. per-pair is a *driver* choice, not a table choice: the
-//! batched kernel scans the same `CompiledPst` tables, and its per-lane
-//! arithmetic is identical to the per-pair scan. Serial call-sites (one
-//! sequence at a time, models evolving mid-scan) therefore use
-//! [`ClusterAutomaton::scan_bounded`] under every exact kernel and get
-//! bit-identical results by construction; only the bulk snapshot paths
-//! route through [`ClusterAutomaton::scan_batch`].
+//! engine's snapshot passes — build a [`ClusterAutomaton`] once per frozen
+//! model and then scan through a uniform API. There is one table format,
+//! exact `f64` ([`CompiledPst`]), and two drivers over it: the
+//! single-sequence scan and the eight-lane interleaved scan of
+//! [`max_similarity_compiled_batch`]. Serial call-sites (one sequence at a
+//! time, models evolving mid-scan) use [`ClusterAutomaton::scan_pruned`];
+//! bulk passes hand lane groups to [`ClusterAutomaton::scan_batch`], which
+//! picks the driver from the automaton's [table
+//! size](ClusterAutomaton::table_bytes). Both drivers perform each lane's
+//! arithmetic in the same order, so the choice changes memory behavior,
+//! never a result.
 
-use cluseq_pst::{CompiledPst, Pst, QuantizedPst};
+use cluseq_pst::{CompiledPst, Pst};
 use cluseq_seq::{BackgroundModel, Symbol};
 
 use crate::config::ScanKernel;
 use crate::similarity::{
     max_similarity_compiled, max_similarity_compiled_batch, max_similarity_compiled_bounded,
-    max_similarity_quantized, max_similarity_quantized_batch, max_similarity_quantized_bounded,
     BoundedSimilarity, SegmentSimilarity,
 };
 
-/// A cluster's frozen model, compiled for one of the automaton-backed
-/// scan kernels (see the [module docs](self)).
+/// Table size above which [`ClusterAutomaton::scan_batch`] interleaves
+/// lanes. Below it the tables stay cache-resident, the single-sequence
+/// scan is not latency-bound, and the lane driver has little to hide.
+/// Read off the committed `BENCH_scan.json`, it lies between `a60_len50`
+/// (200,200 table bytes) and `a4_len50_xl` (703,360 bytes): up to the
+/// first, the lane driver runs at 0.70–1.28× the single scan's speed, a
+/// margin that changes sign between runs; from the second up it wins
+/// 2.1–6.6× on all but `a60_len200` (0.96×).
+pub const LANE_CROSSOVER_BYTES: usize = 512 * 1024;
+
+/// A cluster's frozen model, compiled for the automaton scan kernel (see
+/// the [module docs](self)).
 #[derive(Debug, Clone)]
 pub enum ClusterAutomaton {
-    /// Exact f64 tables — the [`ScanKernel::Compiled`] and
-    /// [`ScanKernel::Batched`] kernels (same tables, different drivers).
+    /// Exact f64 goto and log-ratio tables.
     Exact(CompiledPst),
-    /// `i16` fixed-point tables — the [`ScanKernel::Quantized`] kernel.
-    Quantized(QuantizedPst),
 }
 
 impl ClusterAutomaton {
     /// Compiles `pst` for `kernel`. Returns `None` for
     /// [`ScanKernel::Interpreted`], which scans the tree directly.
     pub fn build(pst: &Pst, background: &BackgroundModel, kernel: ScanKernel) -> Option<Self> {
-        match kernel {
-            ScanKernel::Interpreted => None,
-            ScanKernel::Compiled | ScanKernel::Batched => {
-                Some(Self::Exact(CompiledPst::compile(pst, background)))
-            }
-            ScanKernel::Quantized => Some(Self::Quantized(
-                CompiledPst::compile(pst, background).quantize(),
-            )),
+        kernel
+            .uses_automaton()
+            .then(|| Self::Exact(CompiledPst::compile(pst, background)))
+    }
+
+    /// The compiled tables.
+    pub fn tables(&self) -> &CompiledPst {
+        match self {
+            Self::Exact(compiled) => compiled,
         }
     }
 
-    /// Scores one sequence, unbounded. Exact tables give the interpreted
-    /// kernel's bits; quantized tables the byte-stable quantized score.
+    /// Scores one sequence, unbounded; bit-identical to the interpreted
+    /// kernel.
     pub fn scan(&self, seq: &[Symbol]) -> SegmentSimilarity {
-        match self {
-            Self::Exact(compiled) => max_similarity_compiled(compiled, seq),
-            Self::Quantized(quantized) => max_similarity_quantized(quantized, seq),
-        }
+        max_similarity_compiled(self.tables(), seq)
     }
 
     /// Scores one sequence with threshold early-exit (see
-    /// [`max_similarity_compiled_bounded`] /
-    /// [`max_similarity_quantized_bounded`]).
+    /// [`max_similarity_compiled_bounded`]).
     pub fn scan_bounded(&self, seq: &[Symbol], threshold: f64) -> BoundedSimilarity {
-        match self {
-            Self::Exact(compiled) => max_similarity_compiled_bounded(compiled, seq, threshold),
-            Self::Quantized(quantized) => {
-                max_similarity_quantized_bounded(quantized, seq, threshold)
-            }
-        }
+        max_similarity_compiled_bounded(self.tables(), seq, threshold)
     }
 
     /// [`scan_bounded`](Self::scan_bounded) driven by the caller's choice
@@ -85,25 +80,29 @@ impl ClusterAutomaton {
         }
     }
 
-    /// Scores a batch of sequences through the interleaved multi-lane
-    /// driver. `out[lane]` is bit-identical to
-    /// [`scan_pruned`](Self::scan_pruned)`(seqs[lane], threshold)` — the
-    /// batching changes memory behavior, never per-lane arithmetic.
+    /// Whether [`scan_batch`](Self::scan_batch) runs the interleaved lane
+    /// driver: only once the tables exceed [`LANE_CROSSOVER_BYTES`].
+    pub fn interleaves_lanes(&self) -> bool {
+        self.table_bytes() > LANE_CROSSOVER_BYTES
+    }
+
+    /// Scores a batch of sequences. `out[lane]` is bit-identical to
+    /// [`scan_pruned`](Self::scan_pruned)`(seqs[lane], threshold)`, prune
+    /// verdicts included, whichever driver
+    /// [`interleaves_lanes`](Self::interleaves_lanes) picks.
     pub fn scan_batch(&self, seqs: &[&[Symbol]], threshold: Option<f64>) -> Vec<BoundedSimilarity> {
-        match self {
-            Self::Exact(compiled) => max_similarity_compiled_batch(compiled, seqs, threshold),
-            Self::Quantized(quantized) => {
-                max_similarity_quantized_batch(quantized, seqs, threshold)
-            }
+        if self.interleaves_lanes() {
+            max_similarity_compiled_batch(self.tables(), seqs, threshold)
+        } else {
+            seqs.iter()
+                .map(|seq| self.scan_pruned(seq, threshold))
+                .collect()
         }
     }
 
     /// Heap footprint of the underlying tables.
     pub fn table_bytes(&self) -> usize {
-        match self {
-            Self::Exact(compiled) => compiled.table_bytes(),
-            Self::Quantized(quantized) => quantized.table_bytes(),
-        }
+        self.tables().table_bytes()
     }
 }
 
@@ -128,47 +127,87 @@ mod tests {
         (pst, BackgroundModel::uniform(3), probe)
     }
 
+    /// A model whose tables overflow [`LANE_CROSSOVER_BYTES`]: a pseudo-
+    /// random walk over 24 symbols trained with every context significant,
+    /// plus probes of mixed lengths, including one the lane driver retires
+    /// early and an empty one.
+    fn large_fixture() -> (Pst, BackgroundModel, Vec<Vec<Symbol>>) {
+        const SYMBOLS: u16 = 24;
+        let mut x = 0x9e37_79b9u32;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            Symbol((x % u32::from(SYMBOLS)) as u16)
+        };
+        let train: Vec<Symbol> = (0..4_000).map(|_| next()).collect();
+        let mut pst = Pst::new(
+            usize::from(SYMBOLS),
+            PstParams::default().with_significance(1).with_max_depth(4),
+        );
+        pst.add_segment(&train);
+        let mut probes: Vec<Vec<Symbol>> = (0..9)
+            .map(|i| train[i * 300..i * 300 + 40 + 25 * i].to_vec())
+            .collect();
+        probes.push((0..150).map(|_| next()).collect());
+        probes.push(vec![Symbol(3)]);
+        probes.push(Vec::new());
+        (pst, BackgroundModel::uniform(usize::from(SYMBOLS)), probes)
+    }
+
     #[test]
     fn interpreted_kernel_builds_no_automaton() {
         let (pst, bg, _) = fixture();
         assert!(ClusterAutomaton::build(&pst, &bg, ScanKernel::Interpreted).is_none());
-        for kernel in [
-            ScanKernel::Compiled,
-            ScanKernel::Batched,
-            ScanKernel::Quantized,
-        ] {
-            let a = ClusterAutomaton::build(&pst, &bg, kernel).unwrap();
-            assert!(a.table_bytes() > 0);
-        }
+        let a = ClusterAutomaton::build(&pst, &bg, ScanKernel::Compiled).unwrap();
+        assert!(a.table_bytes() > 0);
     }
 
     #[test]
     fn compiled_and_batched_share_exact_tables() {
         let (pst, bg, probe) = fixture();
-        let compiled = ClusterAutomaton::build(&pst, &bg, ScanKernel::Compiled).unwrap();
-        let batched = ClusterAutomaton::build(&pst, &bg, ScanKernel::Batched).unwrap();
-        assert_eq!(
-            compiled.scan(&probe).log_sim.to_bits(),
-            batched.scan(&probe).log_sim.to_bits()
-        );
-        assert!(matches!(batched, ClusterAutomaton::Exact(_)));
+        let a = ClusterAutomaton::build(&pst, &bg, ScanKernel::Compiled).unwrap();
+        let lanes = max_similarity_compiled_batch(a.tables(), &[&probe], None);
+        assert_eq!(lanes, vec![BoundedSimilarity::Exact(a.scan(&probe))]);
+        assert_eq!(a.table_bytes(), a.tables().table_bytes());
     }
 
     #[test]
     fn scan_batch_matches_scan_pruned_per_lane() {
-        let (pst, bg, probe) = fixture();
-        let short: Vec<Symbol> = probe[..3].to_vec();
-        let lanes: Vec<&[Symbol]> = vec![&probe, &short, &[]];
-        for kernel in [ScanKernel::Batched, ScanKernel::Quantized] {
-            let a = ClusterAutomaton::build(&pst, &bg, kernel).unwrap();
-            for threshold in [None, Some(0.5), Some(1e9)] {
-                let batch = a.scan_batch(&lanes, threshold);
+        let (small_pst, small_bg, small_probe) = fixture();
+        let small = ClusterAutomaton::build(&small_pst, &small_bg, ScanKernel::Compiled).unwrap();
+        assert!(!small.interleaves_lanes());
+        let (large_pst, large_bg, large_probes) = large_fixture();
+        let large = ClusterAutomaton::build(&large_pst, &large_bg, ScanKernel::Compiled).unwrap();
+        assert!(
+            large.interleaves_lanes(),
+            "{} table bytes must overflow the crossover",
+            large.table_bytes()
+        );
+
+        let small_probes = vec![small_probe.clone(), small_probe[..5].to_vec(), Vec::new()];
+        for (automaton, probes) in [(&small, &small_probes), (&large, &large_probes)] {
+            let lanes: Vec<&[Symbol]> = probes.iter().map(Vec::as_slice).collect();
+            let best = lanes
+                .iter()
+                .map(|seq| automaton.scan(seq).log_sim)
+                .fold(f64::NEG_INFINITY, f64::max);
+            // No threshold, one every lane clears or prunes on its merits,
+            // and one no lane can reach, which must prune the long lane.
+            let unreachable = best + 1e3;
+            for threshold in [None, Some(0.5), Some(unreachable)] {
+                let batch = automaton.scan_batch(&lanes, threshold);
+                assert_eq!(batch.len(), lanes.len());
                 for (lane, seq) in lanes.iter().enumerate() {
                     assert_eq!(
                         batch[lane],
-                        a.scan_pruned(seq, threshold),
-                        "kernel {kernel} lane {lane} threshold {threshold:?}"
+                        automaton.scan_pruned(seq, threshold),
+                        "{} table bytes, lane {lane}, threshold {threshold:?}",
+                        automaton.table_bytes()
                     );
+                }
+                if threshold == Some(unreachable) {
+                    assert!(batch[0].is_pruned());
                 }
             }
         }

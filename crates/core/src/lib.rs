@@ -84,7 +84,6 @@ pub use serve::{ServeConfig, Server, ServerHandle};
 pub use similarity::{
     max_similarity, max_similarity_compiled, max_similarity_compiled_batch,
     max_similarity_compiled_bounded, max_similarity_pst, max_similarity_pst_with_scratch,
-    max_similarity_quantized, max_similarity_quantized_batch, max_similarity_quantized_bounded,
     prune_count, BoundedSimilarity, LogSim, SegmentSimilarity, BATCH_LANES,
 };
 pub use telemetry::{

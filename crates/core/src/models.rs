@@ -2,7 +2,7 @@
 //! byte-budgeted LRU cache.
 //!
 //! At paper scale the corpus is the dominant memory cost, but the compiled
-//! scan tables are the *second* one: every automaton-backed kernel holds
+//! scan tables are the *second* one: the compiled kernel holds
 //! `O(nodes × |ℑ|)` table bytes per cluster, and the snapshot scan wants
 //! all `k` of them at once. The [`ModelCache`] bounds that: automata are
 //! built on first touch, retained up to a configured byte budget, and
@@ -235,24 +235,19 @@ mod tests {
     #[test]
     fn cached_automata_scan_identically_to_fresh_builds() {
         let (db, bg, clusters) = fixture(4);
-        for kernel in [
-            ScanKernel::Compiled,
-            ScanKernel::Batched,
-            ScanKernel::Quantized,
-        ] {
-            let mut cache = ModelCache::with_budget_mb(64);
-            for cluster in &clusters {
-                let cached = cache.get_or_build(cluster, &bg, kernel).unwrap();
-                let fresh = ClusterAutomaton::build(&cluster.pst, &bg, kernel).unwrap();
-                for probe in 0..db.len() {
-                    let seq = db.sequence(probe).symbols();
-                    assert_eq!(
-                        cached.scan(seq).log_sim.to_bits(),
-                        fresh.scan(seq).log_sim.to_bits(),
-                        "kernel={kernel} cluster={} probe={probe}",
-                        cluster.id
-                    );
-                }
+        let kernel = ScanKernel::Compiled;
+        let mut cache = ModelCache::with_budget_mb(64);
+        for cluster in &clusters {
+            let cached = cache.get_or_build(cluster, &bg, kernel).unwrap();
+            let fresh = ClusterAutomaton::build(&cluster.pst, &bg, kernel).unwrap();
+            for probe in 0..db.len() {
+                let seq = db.sequence(probe).symbols();
+                assert_eq!(
+                    cached.scan(seq).log_sim.to_bits(),
+                    fresh.scan(seq).log_sim.to_bits(),
+                    "cluster={} probe={probe}",
+                    cluster.id
+                );
             }
         }
     }
@@ -336,7 +331,7 @@ mod tests {
         let (_db, bg, clusters) = fixture(4);
         let mut cache = ModelCache::with_budget_mb(64);
         for c in &clusters {
-            cache.get_or_build(c, &bg, ScanKernel::Quantized);
+            cache.get_or_build(c, &bg, ScanKernel::Compiled);
         }
         assert_eq!(cache.len(), 4);
         cache.invalidate(2);
@@ -344,7 +339,7 @@ mod tests {
         cache.retain_live(|id| id == 0);
         assert_eq!(cache.len(), 1);
         assert!(cache.contains(0));
-        let expected = ClusterAutomaton::build(&clusters[0].pst, &bg, ScanKernel::Quantized)
+        let expected = ClusterAutomaton::build(&clusters[0].pst, &bg, ScanKernel::Compiled)
             .unwrap()
             .table_bytes();
         assert_eq!(cache.resident_bytes(), expected);

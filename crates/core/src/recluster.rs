@@ -58,10 +58,9 @@ pub struct ScanOptions<'a> {
     /// Worker threads for the snapshot score phase (ignored by the
     /// incremental mode, whose scoring is order-dependent).
     pub threads: usize,
-    /// Which similarity-DP implementation scores each pair. The exact
-    /// kernels are bit-identical (see [`ScanKernel`]); quantized is
-    /// byte-stable within a documented error bound of exact. Automaton
-    /// kernels additionally honour `prune_below`.
+    /// Which similarity-DP implementation scores each pair. The kernels
+    /// are bit-identical (see [`ScanKernel`]); the compiled kernel
+    /// additionally honours `prune_below`.
     pub kernel: ScanKernel,
     /// With an automaton kernel (any but [`ScanKernel::Interpreted`]),
     /// abandon a pair early once it provably cannot reach this
@@ -465,10 +464,8 @@ pub fn recluster_full(
             // slot's automaton is never built at all — reuse needs no
             // automaton — so a converged scan compiles nothing.
             //
-            // Sequences are scanned one at a time here (the mid-scan
-            // mutations forbid batching), which is still exactly the
-            // batched kernel's arithmetic: the batch driver is
-            // bit-identical to the per-pair scan by construction.
+            // Sequences are scanned one at a time here: the mid-scan
+            // mutations forbid handing lane groups to the lane driver.
             let _span = options.trace.map(|t| t.span(Phase::ScanScore));
             let start = std::time::Instant::now();
             let mut reuse = cache
@@ -1009,9 +1006,9 @@ mod tests {
         opts
     }
 
-    /// The tentpole invariant: the compiled and batched kernels reproduce
-    /// the interpreted kernel bit for bit — similarities, flips,
-    /// memberships, models — in every scan mode and at every thread count.
+    /// The tentpole invariant: the compiled kernel reproduces the
+    /// interpreted kernel bit for bit — similarities, flips, memberships,
+    /// models — in every scan mode and at every thread count.
     #[test]
     fn compiled_kernel_scan_is_bit_identical_to_interpreted() {
         let (db, bg) = fixture();
@@ -1026,69 +1023,13 @@ mod tests {
         };
         for base in [incremental(), rebuild(), snapshot(1), snapshot(4)] {
             let reference = run(with_kernel(base, ScanKernel::Interpreted));
-            for kernel in [ScanKernel::Compiled, ScanKernel::Batched] {
-                assert_eq!(
-                    run(with_kernel(base, kernel)),
-                    reference,
-                    "kernel {kernel} mode {:?} rebuild {}",
-                    base.mode,
-                    base.rebuild_psts,
-                );
-            }
-        }
-    }
-
-    /// The quantized kernel is approximate but *deterministic*: the same
-    /// scan yields byte-identical results in every mode and at every
-    /// thread count, and every similarity it reports sits within the
-    /// per-automaton error bound of the exact kernel's value.
-    #[test]
-    fn quantized_kernel_scan_is_deterministic_and_near_exact() {
-        let (db, bg) = fixture();
-        let order: Vec<usize> = vec![4, 1, 3, 0, 2];
-        let run = |opts: ScanOptions| {
-            let mut clusters = make_clusters(&db, &[0, 3]);
-            let out = recluster(&db, &mut clusters, 0.05, &order, &bg, opts);
-            let members: Vec<Vec<usize>> = clusters.iter().map(|c| c.members.clone()).collect();
-            let counts: Vec<u64> = clusters.iter().map(|c| c.pst.total_count()).collect();
-            let sims: Vec<u64> = out.similarities.iter().map(|s| s.to_bits()).collect();
-            (sims, out.changes, out.best_cluster, members, counts)
-        };
-        // Snapshot scans are one deterministic function of their inputs:
-        // every thread count reproduces threads = 1 byte for byte.
-        let reference = run(with_kernel(snapshot(1), ScanKernel::Quantized));
-        for threads in [2usize, 4, 8] {
             assert_eq!(
-                run(with_kernel(snapshot(threads), ScanKernel::Quantized)),
+                run(with_kernel(base, ScanKernel::Compiled)),
                 reference,
-                "threads={threads}"
+                "mode {:?} rebuild {}",
+                base.mode,
+                base.rebuild_psts,
             );
-        }
-        // And repeating the identical incremental scan is a no-op diff.
-        assert_eq!(
-            run(with_kernel(incremental(), ScanKernel::Quantized)),
-            run(with_kernel(incremental(), ScanKernel::Quantized)),
-        );
-        // Near-exactness on a fixed model: every quantized similarity of
-        // the first scored row is within the automaton's error bound.
-        let clusters = make_clusters(&db, &[0, 3]);
-        for cluster in &clusters {
-            let exact = ClusterAutomaton::build(&cluster.pst, &bg, ScanKernel::Compiled).unwrap();
-            let quant = ClusterAutomaton::build(&cluster.pst, &bg, ScanKernel::Quantized).unwrap();
-            let ClusterAutomaton::Quantized(ref q) = quant else {
-                unreachable!()
-            };
-            for id in 0..db.len() {
-                let seq = db.sequence(id).symbols();
-                let e = exact.scan(seq).log_sim;
-                let a = quant.scan(seq).log_sim;
-                assert!(
-                    (e - a).abs() <= q.error_bound(seq.len()),
-                    "cluster {} seq {id}: exact {e} quantized {a} bound {}",
-                    cluster.id,
-                    q.error_bound(seq.len())
-                );
-            }
         }
     }
 
@@ -1124,37 +1065,31 @@ mod tests {
         };
 
         for base in [incremental(), snapshot(2)] {
-            for kernel in [
-                ScanKernel::Compiled,
-                ScanKernel::Batched,
-                ScanKernel::Quantized,
-            ] {
-                let mut pruned_opts = with_kernel(base, kernel);
-                pruned_opts.prune_below = Some(log_t);
-                let (out_p, members_p, counts_p) = run(pruned_opts);
-                let (out_x, members_x, counts_x) = run(with_kernel(base, kernel));
+            let mut pruned_opts = with_kernel(base, ScanKernel::Compiled);
+            pruned_opts.prune_below = Some(log_t);
+            let (out_p, members_p, counts_p) = run(pruned_opts);
+            let (out_x, members_x, counts_x) = run(with_kernel(base, ScanKernel::Compiled));
 
-                assert!(
-                    out_p.metrics.pairs_pruned > 0,
-                    "mode {:?} kernel {kernel}: cross-group pairs should be prunable",
-                    base.mode
-                );
-                assert_eq!(out_x.metrics.pairs_pruned, 0, "no pruning when disabled");
-                assert!(out_x.metrics.joins > 0, "the threshold must stay reachable");
-                assert_eq!(out_p.metrics.pairs_scored, out_x.metrics.pairs_scored);
-                assert_eq!(out_p.metrics.joins, out_x.metrics.joins);
-                assert_eq!(out_p.metrics.new_joins, out_x.metrics.new_joins);
-                assert_eq!(out_p.changes, out_x.changes);
-                assert_eq!(out_p.best_cluster, out_x.best_cluster);
-                assert_eq!(members_p, members_x);
-                assert_eq!(counts_p, counts_x);
-                // A pruned pair forfeits its histogram sample — the only
-                // observable difference.
-                assert_eq!(
-                    out_p.similarities.len() + out_p.metrics.pairs_pruned as usize,
-                    out_x.similarities.len() + out_x.metrics.pairs_pruned as usize
-                );
-            }
+            assert!(
+                out_p.metrics.pairs_pruned > 0,
+                "mode {:?}: cross-group pairs should be prunable",
+                base.mode
+            );
+            assert_eq!(out_x.metrics.pairs_pruned, 0, "no pruning when disabled");
+            assert!(out_x.metrics.joins > 0, "the threshold must stay reachable");
+            assert_eq!(out_p.metrics.pairs_scored, out_x.metrics.pairs_scored);
+            assert_eq!(out_p.metrics.joins, out_x.metrics.joins);
+            assert_eq!(out_p.metrics.new_joins, out_x.metrics.new_joins);
+            assert_eq!(out_p.changes, out_x.changes);
+            assert_eq!(out_p.best_cluster, out_x.best_cluster);
+            assert_eq!(members_p, members_x);
+            assert_eq!(counts_p, counts_x);
+            // A pruned pair forfeits its histogram sample — the only
+            // observable difference.
+            assert_eq!(
+                out_p.similarities.len() + out_p.metrics.pairs_pruned as usize,
+                out_x.similarities.len() + out_x.metrics.pairs_pruned as usize
+            );
         }
     }
 

@@ -22,7 +22,6 @@
 
 use std::borrow::Borrow;
 
-use cluseq_pst::{CompiledPst, Pst};
 use cluseq_seq::{BackgroundModel, Sequence, SequenceStore, Symbol};
 
 use crate::cluster::Cluster;
@@ -30,9 +29,8 @@ use crate::config::ScanKernel;
 use crate::incremental::SimilarityCache;
 use crate::kernel::ClusterAutomaton;
 use crate::similarity::{
-    max_similarity_compiled, max_similarity_compiled_bounded, max_similarity_pst,
-    max_similarity_pst_with_scratch, prune_count, BoundedSimilarity, SegmentSimilarity,
-    BATCH_LANES,
+    max_similarity_pst, max_similarity_pst_with_scratch, prune_count, BoundedSimilarity,
+    SegmentSimilarity, BATCH_LANES,
 };
 use crate::trace::{self, Counter, HistKind, TraceSession};
 
@@ -213,24 +211,12 @@ impl ScoreEngine {
     }
 
     /// [`score_sequences`](ScoreEngine::score_sequences) plus the wall
-    /// time of the whole scoring pass in nanoseconds — the telemetry
-    /// layer's `scan_score` phase attribution. The scores themselves are
-    /// identical to the untimed call.
-    pub fn score_sequences_timed(
-        &self,
-        store: &dyn SequenceStore,
-        clusters: &[Cluster],
-        background: &BackgroundModel,
-        order: &[usize],
-    ) -> (Vec<Vec<SegmentSimilarity>>, u64) {
-        self.score_sequences_metered(store, clusters, background, order, None)
-    }
-
-    /// [`score_sequences_timed`](ScoreEngine::score_sequences_timed) that
-    /// additionally records per-row metrics into `trace` when one is
-    /// given: each worker writes `pairs_scored` and a `score_row` latency
-    /// observation into its own registry shard, contention-free. Scores
-    /// are identical either way — the registry is write-only here.
+    /// time of the whole pass in nanoseconds — the telemetry layer's
+    /// `scan_score` phase attribution — with optional per-row metrics:
+    /// when `trace` is given, each worker writes `pairs_scored` and a
+    /// `score_row` latency observation into its own registry shard,
+    /// contention-free. Scores are identical either way — the registry is
+    /// write-only here.
     pub fn score_sequences_metered(
         &self,
         store: &dyn SequenceStore,
@@ -266,118 +252,9 @@ impl ScoreEngine {
         (rows, trace::nanos_since(start))
     }
 
-    /// Compiles every cluster's PST into its scan automaton, in slot
-    /// order. A helper for the compiled-kernel scoring paths; the compile
-    /// cost is paid once per frozen model, then amortized over every
-    /// sequence scored against it.
-    pub fn compile_clusters(
-        &self,
-        clusters: &[Cluster],
-        background: &BackgroundModel,
-    ) -> Vec<CompiledPst> {
-        parallel_map(clusters.len(), self.threads, |slot| {
-            CompiledPst::compile(&clusters[slot].pst, background)
-        })
-    }
-
-    /// [`score_sequences`](ScoreEngine::score_sequences) over precompiled
-    /// automatons, with optional threshold early-exit.
-    ///
-    /// `compiled[slot]` must be the compilation of `clusters[slot]` against
-    /// the same background model. With `prune_below = None` every entry is
-    /// [`BoundedSimilarity::Exact`] and bit-identical to the interpreted
-    /// engine; with `Some(log_t)`, pairs provably below `log_t` may come
-    /// back [`BoundedSimilarity::Pruned`] instead (see
-    /// [`max_similarity_compiled_bounded`]).
-    pub fn score_sequences_compiled(
-        &self,
-        store: &dyn SequenceStore,
-        compiled: &[CompiledPst],
-        order: &[usize],
-        prune_below: Option<f64>,
-    ) -> Vec<Vec<BoundedSimilarity>> {
-        parallel_map_with(
-            order.len(),
-            self.threads,
-            || store.reader(),
-            |reader, pos| {
-                let seq = reader.symbols(order[pos]);
-                compiled
-                    .iter()
-                    .map(|automaton| match prune_below {
-                        Some(log_t) => max_similarity_compiled_bounded(automaton, seq, log_t),
-                        None => BoundedSimilarity::Exact(max_similarity_compiled(automaton, seq)),
-                    })
-                    .collect()
-            },
-        )
-    }
-
-    /// [`score_sequences_compiled`](ScoreEngine::score_sequences_compiled)
-    /// plus the wall time of the pass (including nothing else — the caller
-    /// times compilation separately if it wants it attributed).
-    pub fn score_sequences_compiled_timed(
-        &self,
-        store: &dyn SequenceStore,
-        compiled: &[CompiledPst],
-        order: &[usize],
-        prune_below: Option<f64>,
-    ) -> (Vec<Vec<BoundedSimilarity>>, u64) {
-        self.score_sequences_compiled_metered(store, compiled, order, prune_below, None)
-    }
-
-    /// [`score_sequences_compiled_timed`](ScoreEngine::score_sequences_compiled_timed)
-    /// with optional per-row metrics (see
-    /// [`score_sequences_metered`](ScoreEngine::score_sequences_metered));
-    /// pruned pairs additionally count into `pairs_pruned`, recorded by
-    /// the worker that proved the prune.
-    pub fn score_sequences_compiled_metered(
-        &self,
-        store: &dyn SequenceStore,
-        compiled: &[CompiledPst],
-        order: &[usize],
-        prune_below: Option<f64>,
-        trace: Option<&TraceSession>,
-    ) -> (Vec<Vec<BoundedSimilarity>>, u64) {
-        let start = std::time::Instant::now();
-        let rows = match trace {
-            None => self.score_sequences_compiled(store, compiled, order, prune_below),
-            Some(trace) => {
-                let chunk = plan_chunk(order.len(), self.threads);
-                parallel_map_with(
-                    order.len(),
-                    self.threads,
-                    || store.reader(),
-                    |reader, pos| {
-                        let row_start = std::time::Instant::now();
-                        let seq = reader.symbols(order[pos]);
-                        let row: Vec<BoundedSimilarity> = compiled
-                            .iter()
-                            .map(|automaton| match prune_below {
-                                Some(log_t) => {
-                                    max_similarity_compiled_bounded(automaton, seq, log_t)
-                                }
-                                None => BoundedSimilarity::Exact(max_similarity_compiled(
-                                    automaton, seq,
-                                )),
-                            })
-                            .collect();
-                        let shard = trace::shard_for(pos, chunk);
-                        trace.add_at(shard, Counter::PairsScored, row.len() as u64);
-                        trace.add_at(shard, Counter::PairsPruned, prune_count(&row));
-                        trace.observe(HistKind::ScoreRow, shard, trace::nanos_since(row_start));
-                        row
-                    },
-                )
-            }
-        };
-        (rows, trace::nanos_since(start))
-    }
-
     /// Builds every cluster's [`ClusterAutomaton`] for `kernel`, in slot
-    /// order. The generalization of
-    /// [`compile_clusters`](ScoreEngine::compile_clusters) to every
-    /// automaton-backed kernel.
+    /// order. The compile cost is paid once per frozen model, then
+    /// amortized over every sequence scored against it.
     ///
     /// # Panics
     ///
@@ -398,37 +275,30 @@ impl ScoreEngine {
         })
     }
 
-    /// [`score_sequences_compiled`](ScoreEngine::score_sequences_compiled)
-    /// generalized over [`ClusterAutomaton`]s: scores every sequence in
-    /// `order` against every automaton, honoring `prune_below`.
+    /// [`score_sequences`](ScoreEngine::score_sequences) over precompiled
+    /// automata, plus wall time, with optional threshold early-exit and
+    /// per-worker metrics.
     ///
-    /// `kernel` selects the *driver*, not the tables (those are baked into
-    /// `automata`): under [`ScanKernel::Batched`] the order is split into
-    /// [`BATCH_LANES`]-wide groups and each group is scanned through the
-    /// interleaved batch driver — per-lane results are bit-identical to
-    /// the per-pair scan, so the choice reorders memory traffic, never
-    /// arithmetic. Every other kernel scans row by row.
+    /// `out[pos][slot]` is the verdict of sequence `order[pos]` against
+    /// `automata[slot]`. With `prune_below = None` every entry is
+    /// [`BoundedSimilarity::Exact`] and bit-identical to the interpreted
+    /// engine; with `Some(log_t)`, pairs provably below `log_t` may come
+    /// back [`BoundedSimilarity::Pruned`] instead (see
+    /// [`crate::similarity::max_similarity_compiled_bounded`]).
+    ///
+    /// The order is split into [`BATCH_LANES`]-wide lane groups and each
+    /// group goes to [`ClusterAutomaton::scan_batch`], which picks the
+    /// driver per automaton from its table size; per-lane results equal
+    /// the single-sequence scan either way. The grouping is fixed, not
+    /// thread-dependent, so it is part of the deterministic plan. When
+    /// `trace` is given, each worker records `pairs_scored`,
+    /// `pairs_pruned` and one `score_row` latency observation per lane
+    /// group into its own shard. The kernel argument chooses nothing: the
+    /// tables baked into `automata` already fix what is scanned.
     ///
     /// `automata` is generic over [`Borrow`] so both owned
     /// `[ClusterAutomaton]` slices and `[std::sync::Arc<ClusterAutomaton>]`
     /// slices handed out by the model cache score identically.
-    pub fn score_sequences_automata<A: Borrow<ClusterAutomaton> + Sync>(
-        &self,
-        store: &dyn SequenceStore,
-        automata: &[A],
-        order: &[usize],
-        prune_below: Option<f64>,
-        kernel: ScanKernel,
-    ) -> Vec<Vec<BoundedSimilarity>> {
-        self.score_sequences_automata_metered(store, automata, order, prune_below, kernel, None)
-            .0
-    }
-
-    /// [`score_sequences_automata`](ScoreEngine::score_sequences_automata)
-    /// plus wall time, with optional per-worker metrics. Pair counters
-    /// total identically under both drivers; the `score_row` latency
-    /// histogram records one observation per row (per-pair driver) or per
-    /// lane group (batched driver).
     #[allow(clippy::too_many_arguments)]
     pub fn score_sequences_automata_metered<A: Borrow<ClusterAutomaton> + Sync>(
         &self,
@@ -436,72 +306,50 @@ impl ScoreEngine {
         automata: &[A],
         order: &[usize],
         prune_below: Option<f64>,
-        kernel: ScanKernel,
+        _kernel: ScanKernel,
         trace: Option<&TraceSession>,
     ) -> (Vec<Vec<BoundedSimilarity>>, u64) {
         let start = std::time::Instant::now();
-        let rows = if kernel == ScanKernel::Batched {
-            let n_groups = order.len().div_ceil(BATCH_LANES);
-            let chunk = plan_chunk(n_groups, self.threads);
-            let group_rows: Vec<Vec<Vec<BoundedSimilarity>>> = parallel_map_with(
-                n_groups,
-                self.threads,
-                || store.reader(),
-                |reader, g| {
-                    let group_start = std::time::Instant::now();
-                    let lo = g * BATCH_LANES;
-                    let hi = (lo + BATCH_LANES).min(order.len());
-                    // The batch driver needs every lane's symbols alive at
-                    // once; a reader hands out one slice at a time, so the
-                    // lanes are copied into an owned arena first.
-                    let lanes: Vec<Sequence> =
-                        (lo..hi).map(|pos| reader.sequence(order[pos])).collect();
-                    let seqs: Vec<&[Symbol]> = lanes.iter().map(Sequence::symbols).collect();
-                    let mut rows: Vec<Vec<BoundedSimilarity>> = (lo..hi)
-                        .map(|_| Vec::with_capacity(automata.len()))
-                        .collect();
-                    for automaton in automata {
-                        let lane_verdicts = automaton.borrow().scan_batch(&seqs, prune_below);
-                        for (lane, verdict) in lane_verdicts.into_iter().enumerate() {
-                            rows[lane].push(verdict);
-                        }
+        let n_groups = order.len().div_ceil(BATCH_LANES);
+        let chunk = plan_chunk(n_groups, self.threads);
+        let group_rows: Vec<Vec<Vec<BoundedSimilarity>>> = parallel_map_with(
+            n_groups,
+            self.threads,
+            || store.reader(),
+            |reader, g| {
+                let group_start = std::time::Instant::now();
+                let lo = g * BATCH_LANES;
+                let hi = (lo + BATCH_LANES).min(order.len());
+                // The lane driver needs every lane's symbols alive at
+                // once; a reader hands out one slice at a time, so the
+                // lanes are copied into an owned arena first.
+                let lanes: Vec<Sequence> =
+                    (lo..hi).map(|pos| reader.sequence(order[pos])).collect();
+                let seqs: Vec<&[Symbol]> = lanes.iter().map(Sequence::symbols).collect();
+                let mut rows: Vec<Vec<BoundedSimilarity>> = (lo..hi)
+                    .map(|_| Vec::with_capacity(automata.len()))
+                    .collect();
+                for automaton in automata {
+                    let lane_verdicts = automaton.borrow().scan_batch(&seqs, prune_below);
+                    for (lane, verdict) in lane_verdicts.into_iter().enumerate() {
+                        rows[lane].push(verdict);
                     }
-                    if let Some(trace) = trace {
-                        let shard = trace::shard_for(g, chunk);
-                        let scored = (rows.len() * automata.len()) as u64;
-                        let pruned: u64 = rows.iter().map(|row| prune_count(row)).sum();
-                        trace.add_at(shard, Counter::PairsScored, scored);
-                        trace.add_at(shard, Counter::PairsPruned, pruned);
-                        trace.observe(HistKind::ScoreRow, shard, trace::nanos_since(group_start));
-                    }
-                    rows
-                },
-            );
-            group_rows.into_iter().flatten().collect()
-        } else {
-            let chunk = plan_chunk(order.len(), self.threads);
-            parallel_map_with(
-                order.len(),
-                self.threads,
-                || store.reader(),
-                |reader, pos| {
-                    let row_start = std::time::Instant::now();
-                    let seq = reader.symbols(order[pos]);
-                    let row: Vec<BoundedSimilarity> = automata
-                        .iter()
-                        .map(|automaton| automaton.borrow().scan_pruned(seq, prune_below))
-                        .collect();
-                    if let Some(trace) = trace {
-                        let shard = trace::shard_for(pos, chunk);
-                        trace.add_at(shard, Counter::PairsScored, row.len() as u64);
-                        trace.add_at(shard, Counter::PairsPruned, prune_count(&row));
-                        trace.observe(HistKind::ScoreRow, shard, trace::nanos_since(row_start));
-                    }
-                    row
-                },
-            )
-        };
-        (rows, trace::nanos_since(start))
+                }
+                if let Some(trace) = trace {
+                    let shard = trace::shard_for(g, chunk);
+                    let scored = (rows.len() * automata.len()) as u64;
+                    let pruned: u64 = rows.iter().map(|row| prune_count(row)).sum();
+                    trace.add_at(shard, Counter::PairsScored, scored);
+                    trace.add_at(shard, Counter::PairsPruned, pruned);
+                    trace.observe(HistKind::ScoreRow, shard, trace::nanos_since(group_start));
+                }
+                rows
+            },
+        );
+        (
+            group_rows.into_iter().flatten().collect(),
+            trace::nanos_since(start),
+        )
     }
 
     /// A snapshot scoring pass that reuses cached columns for clean
@@ -511,17 +359,14 @@ impl ScoreEngine {
     /// `clusters[slot]`: read straight from `cache` when the cluster has a
     /// valid column, computed fresh otherwise. Fresh verdicts use `kernel`
     /// (automata are built here, for dirty slots only) and honor
-    /// `prune_below` under the automaton kernels, exactly like the
-    /// uncached paths — so with an empty cache the rows are bit-identical
-    /// to
-    /// [`score_sequences_compiled_metered`](ScoreEngine::score_sequences_compiled_metered)
+    /// `prune_below` under the compiled kernel, exactly like the uncached
+    /// paths — so with an empty cache the rows are bit-identical to
+    /// [`score_sequences_automata_metered`](ScoreEngine::score_sequences_automata_metered)
     /// (or the interpreted equivalent wrapped in
-    /// [`BoundedSimilarity::Exact`]). Dirty slots are always scored
-    /// per-pair, even under [`ScanKernel::Batched`] — legal because the
-    /// batched driver is bit-identical to the per-pair scan — and under
-    /// [`ScanKernel::Quantized`] the verdicts are byte-stable (pure
-    /// integer DP), so a column cached by one pass and reused by the next
-    /// upholds the cache's replay invariant.
+    /// [`BoundedSimilarity::Exact`]). Dirty slots are scored one pair at
+    /// a time, which is the lane driver's per-lane arithmetic, so a column
+    /// cached by one pass and reused by the next upholds the cache's
+    /// replay invariant.
     ///
     /// When `trace` is given, each worker records `pairs_scored` and
     /// `pairs_pruned` for its *fresh* pairs and `pairs_reused` for its
@@ -610,22 +455,6 @@ impl ScoreEngine {
             dirty_slots,
             compiles,
         }
-    }
-
-    /// Scores each store sequence in `ids` against a single PST.
-    pub fn score_against_pst(
-        &self,
-        store: &dyn SequenceStore,
-        pst: &Pst,
-        background: &BackgroundModel,
-        ids: &[usize],
-    ) -> Vec<SegmentSimilarity> {
-        parallel_map_with(
-            ids.len(),
-            self.threads,
-            || store.reader(),
-            |reader, i| max_similarity_pst(pst, background, reader.symbols(ids[i])),
-        )
     }
 }
 
@@ -731,6 +560,58 @@ mod tests {
         (db, bg, clusters)
     }
 
+    /// Two clusters seeded on long pseudo-random texts over 24 letters,
+    /// every context significant, so their automata overflow
+    /// [`crate::kernel::LANE_CROSSOVER_BYTES`] and bulk passes run the
+    /// lane driver; 19 probes of mixed lengths leave a partial lane group.
+    fn large_fixture() -> (SequenceDatabase, BackgroundModel, Vec<Cluster>) {
+        let mut x = 0x2545_f491u32;
+        let mut text = |len: usize| -> String {
+            (0..len)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 17;
+                    x ^= x << 5;
+                    char::from(b'a' + (x % 24) as u8)
+                })
+                .collect()
+        };
+        let mut texts = vec![text(3_000), text(3_000)];
+        for i in 0..17 {
+            texts.push(match i % 3 {
+                0 => texts[0][i * 40..i * 40 + 30 + 7 * i].to_string(),
+                1 => texts[1][i * 50..i * 50 + 90].to_string(),
+                _ => text(20 + 11 * i),
+            });
+        }
+        let db = SequenceDatabase::from_strs(texts.iter().map(String::as_str));
+        let bg = db.background();
+        let params = PstParams::default().with_significance(1).with_max_depth(4);
+        let clusters = (0..2)
+            .map(|s| Cluster::from_seed(s, s, db.sequence(s), db.alphabet().len(), params))
+            .collect();
+        (db, bg, clusters)
+    }
+
+    /// Per-pair reference rows: every sequence of `order` scanned one at a
+    /// time through [`ClusterAutomaton::scan_pruned`].
+    fn per_pair_rows(
+        db: &SequenceDatabase,
+        automata: &[ClusterAutomaton],
+        order: &[usize],
+        prune_below: Option<f64>,
+    ) -> Vec<Vec<BoundedSimilarity>> {
+        order
+            .iter()
+            .map(|&id| {
+                automata
+                    .iter()
+                    .map(|a| a.scan_pruned(db.sequence(id).symbols(), prune_below))
+                    .collect()
+            })
+            .collect()
+    }
+
     #[test]
     fn engine_matches_direct_scoring_for_any_thread_count() {
         let (db, bg, clusters) = fixture();
@@ -760,7 +641,7 @@ mod tests {
         let order: Vec<usize> = (0..db.len()).collect();
         let engine = ScoreEngine::new(2);
         let plain = engine.score_sequences(&db, &clusters, &bg, &order);
-        let (timed, _nanos) = engine.score_sequences_timed(&db, &clusters, &bg, &order);
+        let (timed, _nanos) = engine.score_sequences_metered(&db, &clusters, &bg, &order, None);
         assert_eq!(plain, timed);
     }
 
@@ -770,8 +651,15 @@ mod tests {
         let order: Vec<usize> = vec![4, 0, 3, 1, 2];
         let engine = ScoreEngine::new(3);
         let interpreted = engine.score_sequences(&db, &clusters, &bg, &order);
-        let compiled = engine.compile_clusters(&clusters, &bg);
-        let fast = engine.score_sequences_compiled(&db, &compiled, &order, None);
+        let automata = engine.compile_cluster_automata(&clusters, &bg, ScanKernel::Compiled);
+        let (fast, _nanos) = engine.score_sequences_automata_metered(
+            &db,
+            &automata,
+            &order,
+            None,
+            ScanKernel::Compiled,
+            None,
+        );
         for (pos, row) in fast.iter().enumerate() {
             for (slot, verdict) in row.iter().enumerate() {
                 let got = verdict.exact().expect("unpruned scoring is exact");
@@ -780,8 +668,6 @@ mod tests {
                 assert_eq!((got.start, got.end), (want.start, want.end));
             }
         }
-        let (timed, _nanos) = engine.score_sequences_compiled_timed(&db, &compiled, &order, None);
-        assert_eq!(timed, fast);
     }
 
     #[test]
@@ -790,9 +676,16 @@ mod tests {
         let order: Vec<usize> = (0..db.len()).collect();
         let engine = ScoreEngine::new(2);
         let exact = engine.score_sequences(&db, &clusters, &bg, &order);
-        let compiled = engine.compile_clusters(&clusters, &bg);
+        let automata = engine.compile_cluster_automata(&clusters, &bg, ScanKernel::Compiled);
         let log_t = 0.5f64;
-        let bounded = engine.score_sequences_compiled(&db, &compiled, &order, Some(log_t));
+        let (bounded, _) = engine.score_sequences_automata_metered(
+            &db,
+            &automata,
+            &order,
+            Some(log_t),
+            ScanKernel::Compiled,
+            None,
+        );
         for (pos, row) in bounded.iter().enumerate() {
             for (slot, verdict) in row.iter().enumerate() {
                 match verdict {
@@ -827,51 +720,31 @@ mod tests {
             assert_eq!(session.counter(Counter::PairsPruned), 0);
             let hist = session.shared().hist_counts(HistKind::ScoreRow);
             assert_eq!(hist.iter().sum::<u64>(), order.len() as u64);
-
-            let compiled = engine.compile_clusters(&clusters, &bg);
-            let session = TraceSession::in_memory();
-            let bounded = engine.score_sequences_compiled(&db, &compiled, &order, Some(0.5));
-            let (metered, _) = engine.score_sequences_compiled_metered(
-                &db,
-                &compiled,
-                &order,
-                Some(0.5),
-                Some(&session),
-            );
-            assert_eq!(bounded, metered, "threads={threads}");
-            assert_eq!(session.counter(Counter::PairsScored), expected);
-            let pruned: u64 = bounded.iter().map(|row| prune_count(row)).sum();
-            assert_eq!(session.counter(Counter::PairsPruned), pruned);
         }
     }
 
     #[test]
     fn batched_engine_is_bit_identical_to_compiled_engine() {
-        let (db, bg, clusters) = fixture();
-        let order: Vec<usize> = vec![4, 0, 3, 1, 2];
-        let reference = {
-            let engine = ScoreEngine::new(1);
-            let compiled = engine.compile_clusters(&clusters, &bg);
-            (
-                engine.score_sequences_compiled(&db, &compiled, &order, None),
-                engine.score_sequences_compiled(&db, &compiled, &order, Some(0.5)),
-            )
-        };
-        for threads in [1usize, 2, 4] {
-            let engine = ScoreEngine::new(threads);
-            for kernel in [ScanKernel::Compiled, ScanKernel::Batched] {
-                let automata = engine.compile_cluster_automata(&clusters, &bg, kernel);
-                for (prune_below, want) in [(None, &reference.0), (Some(0.5), &reference.1)] {
-                    let rows = engine.score_sequences_automata(
+        for (db, bg, clusters) in [fixture(), large_fixture()] {
+            let order: Vec<usize> = (0..db.len()).rev().collect();
+            let automata =
+                ScoreEngine::new(1).compile_cluster_automata(&clusters, &bg, ScanKernel::Compiled);
+            for prune_below in [None, Some(0.5)] {
+                let want = per_pair_rows(&db, &automata, &order, prune_below);
+                for threads in [1usize, 2, 4] {
+                    let (rows, _) = ScoreEngine::new(threads).score_sequences_automata_metered(
                         &db,
                         &automata,
                         &order,
                         prune_below,
-                        kernel,
+                        ScanKernel::Compiled,
+                        None,
                     );
                     assert_eq!(
-                        &rows, want,
-                        "threads={threads} kernel={kernel} prune={prune_below:?}"
+                        rows,
+                        want,
+                        "{} sequences, threads={threads} prune={prune_below:?}",
+                        db.len()
                     );
                 }
             }
@@ -879,67 +752,48 @@ mod tests {
     }
 
     #[test]
-    fn quantized_engine_is_byte_stable_across_drivers_and_threads() {
-        let (db, bg, clusters) = fixture();
-        let order: Vec<usize> = (0..db.len()).collect();
-        let reference = {
-            let engine = ScoreEngine::new(1);
-            let automata = engine.compile_cluster_automata(&clusters, &bg, ScanKernel::Quantized);
-            // Per-pair quantized scans, the ground truth for this kernel.
-            order
-                .iter()
-                .map(|&id| {
-                    automata
-                        .iter()
-                        .map(|a| a.scan_pruned(db.sequence(id).symbols(), None))
-                        .collect::<Vec<_>>()
-                })
-                .collect::<Vec<_>>()
-        };
-        for threads in [1usize, 3, 8] {
-            let engine = ScoreEngine::new(threads);
-            let automata = engine.compile_cluster_automata(&clusters, &bg, ScanKernel::Quantized);
-            let rows = engine.score_sequences_automata(
-                &db,
-                &automata,
-                &order,
-                None,
-                ScanKernel::Quantized,
-            );
-            assert_eq!(rows, reference, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn metered_automata_scoring_counts_pairs_under_both_drivers() {
-        let (db, bg, clusters) = fixture();
-        let order: Vec<usize> = (0..db.len()).collect();
-        for kernel in [
-            ScanKernel::Compiled,
-            ScanKernel::Batched,
-            ScanKernel::Quantized,
-        ] {
+        let mut drivers = Vec::new();
+        for (db, bg, clusters) in [fixture(), large_fixture()] {
+            let order: Vec<usize> = (0..db.len()).collect();
+            let automata =
+                ScoreEngine::new(1).compile_cluster_automata(&clusters, &bg, ScanKernel::Compiled);
+            let lanes = automata[0].interleaves_lanes();
+            assert!(automata.iter().all(|a| a.interleaves_lanes() == lanes));
+            drivers.push(lanes);
             for threads in [1usize, 4] {
                 let engine = ScoreEngine::new(threads);
-                let automata = engine.compile_cluster_automata(&clusters, &bg, kernel);
                 let session = TraceSession::in_memory();
-                let plain =
-                    engine.score_sequences_automata(&db, &automata, &order, Some(0.5), kernel);
+                let (plain, _) = engine.score_sequences_automata_metered(
+                    &db,
+                    &automata,
+                    &order,
+                    Some(0.5),
+                    ScanKernel::Compiled,
+                    None,
+                );
                 let (metered, _) = engine.score_sequences_automata_metered(
                     &db,
                     &automata,
                     &order,
                     Some(0.5),
-                    kernel,
+                    ScanKernel::Compiled,
                     Some(&session),
                 );
-                assert_eq!(plain, metered, "kernel={kernel} threads={threads}");
+                assert_eq!(plain, metered, "lanes={lanes} threads={threads}");
                 let expected = (order.len() * clusters.len()) as u64;
                 assert_eq!(session.counter(Counter::PairsScored), expected);
                 let pruned: u64 = plain.iter().map(|row| prune_count(row)).sum();
                 assert_eq!(session.counter(Counter::PairsPruned), pruned);
+                let hist = session.shared().hist_counts(HistKind::ScoreRow);
+                assert_eq!(
+                    hist.iter().sum::<u64>(),
+                    order.len().div_ceil(BATCH_LANES) as u64,
+                    "one score_row observation per lane group"
+                );
             }
         }
+        assert_eq!(drivers, [false, true], "both drivers must be covered");
     }
 
     #[test]
@@ -949,7 +803,7 @@ mod tests {
         let empty = SimilarityCache::new(db.len());
         for threads in [1usize, 4] {
             let engine = ScoreEngine::new(threads);
-            let compiled = engine.compile_clusters(&clusters, &bg);
+            let automata = engine.compile_cluster_automata(&clusters, &bg, ScanKernel::Compiled);
             for prune_below in [None, Some(0.5)] {
                 let pass = engine.score_sequences_cached(
                     &db,
@@ -961,34 +815,17 @@ mod tests {
                     &empty,
                     None,
                 );
-                let want = engine.score_sequences_compiled(&db, &compiled, &order, prune_below);
+                let (want, _) = engine.score_sequences_automata_metered(
+                    &db,
+                    &automata,
+                    &order,
+                    prune_below,
+                    ScanKernel::Compiled,
+                    None,
+                );
                 assert_eq!(pass.rows, want, "threads={threads} prune={prune_below:?}");
                 assert_eq!(pass.dirty_slots, vec![0, 1]);
                 assert_eq!(pass.compiles, clusters.len() as u64);
-            }
-            for kernel in [ScanKernel::Batched, ScanKernel::Quantized] {
-                let automata = engine.compile_cluster_automata(&clusters, &bg, kernel);
-                for prune_below in [None, Some(0.5)] {
-                    let pass = engine.score_sequences_cached(
-                        &db,
-                        &clusters,
-                        &bg,
-                        &order,
-                        kernel,
-                        prune_below,
-                        &empty,
-                        None,
-                    );
-                    let want = engine.score_sequences_automata(
-                        &db,
-                        &automata,
-                        &order,
-                        prune_below,
-                        kernel,
-                    );
-                    assert_eq!(pass.rows, want, "kernel={kernel} prune={prune_below:?}");
-                    assert_eq!(pass.compiles, clusters.len() as u64);
-                }
             }
             let pass = engine.score_sequences_cached(
                 &db,
@@ -1015,8 +852,8 @@ mod tests {
         let (db, bg, clusters) = fixture();
         let order: Vec<usize> = (0..db.len()).collect();
         let engine = ScoreEngine::new(2);
-        let compiled = engine.compile_clusters(&clusters, &bg);
-        let full = engine.score_sequences_compiled(&db, &compiled, &order, None);
+        let automata = engine.compile_cluster_automata(&clusters, &bg, ScanKernel::Compiled);
+        let full = per_pair_rows(&db, &automata, &order, None);
 
         // Cache cluster 0's column (a deliberately wrong sentinel value so
         // reuse is observable), leave cluster 1 dirty.
@@ -1056,39 +893,41 @@ mod tests {
 
     #[test]
     fn file_backed_store_scores_bit_identically_to_the_database() {
-        let (db, bg, clusters) = fixture();
         let dir = std::env::temp_dir().join(format!("cluseq-score-store-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("corpus.cseq");
-        cluseq_seq::store::write_indexed(&db, &path).unwrap();
-        // A tiny window forces slides mid-chunk; scores must not notice.
-        let store = cluseq_seq::FileStore::open_windowed(&path, 16).unwrap();
-        let order: Vec<usize> = vec![4, 0, 3, 1, 2];
-        for threads in [1usize, 3] {
-            let engine = ScoreEngine::new(threads);
-            let resident = engine.score_sequences(&db, &clusters, &bg, &order);
-            let streamed = engine.score_sequences(&store, &clusters, &bg, &order);
-            assert_eq!(resident, streamed, "threads={threads}");
-            let compiled = engine.compile_clusters(&clusters, &bg);
-            for prune_below in [None, Some(0.5)] {
-                assert_eq!(
-                    engine.score_sequences_compiled(&db, &compiled, &order, prune_below),
-                    engine.score_sequences_compiled(&store, &compiled, &order, prune_below),
-                    "threads={threads} prune={prune_below:?}"
-                );
-            }
-            for kernel in [
-                ScanKernel::Compiled,
-                ScanKernel::Batched,
-                ScanKernel::Quantized,
-            ] {
-                let automata = engine.compile_cluster_automata(&clusters, &bg, kernel);
-                assert_eq!(
-                    engine.score_sequences_automata(&db, &automata, &order, None, kernel),
-                    engine.score_sequences_automata(&store, &automata, &order, None, kernel),
-                    "threads={threads} kernel={kernel}"
-                );
+        for (name, (db, bg, clusters)) in [("small", fixture()), ("large", large_fixture())] {
+            let path = dir.join(format!("{name}.cseq"));
+            cluseq_seq::store::write_indexed(&db, &path).unwrap();
+            // A tiny window forces slides mid-chunk; scores must not notice.
+            let store = cluseq_seq::FileStore::open_windowed(&path, 16).unwrap();
+            let order: Vec<usize> = (0..db.len()).rev().collect();
+            for threads in [1usize, 3] {
+                let engine = ScoreEngine::new(threads);
+                let resident = engine.score_sequences(&db, &clusters, &bg, &order);
+                let streamed = engine.score_sequences(&store, &clusters, &bg, &order);
+                assert_eq!(resident, streamed, "{name} threads={threads}");
+                let automata =
+                    engine.compile_cluster_automata(&clusters, &bg, ScanKernel::Compiled);
+                for prune_below in [None, Some(0.5)] {
+                    let score = |store: &dyn SequenceStore| {
+                        engine
+                            .score_sequences_automata_metered(
+                                store,
+                                &automata,
+                                &order,
+                                prune_below,
+                                ScanKernel::Compiled,
+                                None,
+                            )
+                            .0
+                    };
+                    assert_eq!(
+                        score(&db),
+                        score(&store),
+                        "{name} threads={threads} prune={prune_below:?}"
+                    );
+                }
             }
         }
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1110,11 +949,15 @@ mod tests {
         let (db, bg, clusters) = fixture();
         let ids = [1usize, 2, 4];
         let engine = ScoreEngine::new(4);
-        let got = engine.score_against_pst(&db, &clusters[0].pst, &bg, &ids);
+        let got = engine.score_sequences(&db, &clusters[..1], &bg, &ids);
         for (i, &id) in ids.iter().enumerate() {
             assert_eq!(
                 got[i],
-                max_similarity_pst(&clusters[0].pst, &bg, db.sequence(id).symbols())
+                vec![max_similarity_pst(
+                    &clusters[0].pst,
+                    &bg,
+                    db.sequence(id).symbols()
+                )]
             );
         }
     }

@@ -63,13 +63,11 @@ pub fn select_seeds(
 /// records. Draws from `rng` exactly as [`select_seeds`] does, so the two
 /// are interchangeable without perturbing downstream RNG state.
 ///
-/// Under an automaton kernel the candidate scoring runs on prebuilt
+/// Under the compiled kernel the candidate scoring runs on prebuilt
 /// automata with threshold early-exit against the running farthest-first
-/// maxima. Selection under the exact automaton kernels is bit-identical
-/// to the interpreted path: a pruned pair is provably below the running
-/// maximum, so it could never have raised it. The quantized kernel
-/// selects on quantized scores — deterministic, and within the automaton
-/// error bound of exact — with the same sound early-exit.
+/// maxima. Selection is bit-identical to the interpreted path: a pruned
+/// pair is provably below the running maximum, so it could never have
+/// raised it.
 ///
 /// With a `trace` session, the candidate scoring passes run under nested
 /// `seeding_score` spans (the caller holds the surrounding `seeding`
@@ -504,16 +502,5 @@ mod tests {
         };
         let reference = run(ScanKernel::Interpreted);
         assert_eq!(reference, run(ScanKernel::Compiled));
-        assert_eq!(reference, run(ScanKernel::Batched));
-        // Quantized selection runs on quantized scores, which may rank
-        // near-ties differently, but it must consume identical RNG state
-        // and pick the requested number of distinct seeds.
-        let (seeds_q, rng_q) = run(ScanKernel::Quantized);
-        assert_eq!(rng_q, reference.1, "RNG draws are kernel-independent");
-        assert_eq!(seeds_q.len(), reference.0.len());
-        let mut distinct = seeds_q.clone();
-        distinct.sort_unstable();
-        distinct.dedup();
-        assert_eq!(distinct.len(), seeds_q.len());
     }
 }

@@ -237,8 +237,9 @@ impl ServerHandle {
     }
 
     /// Initiates a graceful stop and drains: no new connections, existing
-    /// handlers get one grace poll to pick up already-sent frames, every
-    /// queued request is scored and answered before the dispatcher exits.
+    /// handlers and connections still in the accept backlog get one grace
+    /// poll to pick up already-sent frames, every queued request is scored
+    /// and answered before the dispatcher exits.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
         wake(self.addr);
@@ -296,19 +297,7 @@ fn accept_loop(
     addr: SocketAddr,
 ) {
     let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                continue;
-            }
-        };
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
+    let mut serve = |stream: TcpStream| {
         handlers.retain(|h| !h.is_finished());
         let shard = obs.as_ref().map_or(0, |o| o.conn_shard());
         let conn = Connection {
@@ -320,12 +309,48 @@ fn accept_loop(
             frame_timeout,
             server_addr: addr,
         };
-        match std::thread::Builder::new()
+        // A spawn failure drops the connection.
+        if let Ok(handle) = std::thread::Builder::new()
             .name("serve-conn".into())
             .spawn(move || conn.run(stream))
         {
-            Ok(handle) => handlers.push(handle),
-            Err(_) => continue, // spawn failure: drop the connection
+            handlers.push(handle);
+        }
+    };
+    loop {
+        match listener.accept() {
+            Ok((stream, _)) => {
+                // The stream that wakes us after a stop may be a real
+                // client, so it is served like any other.
+                let stopping = stop.load(Ordering::SeqCst);
+                serve(stream);
+                if stopping {
+                    break;
+                }
+            }
+            Err(_) if stop.load(Ordering::SeqCst) => break,
+            Err(_) => {}
+        }
+    }
+    // Clients still in the backlog may have sent their frames already;
+    // dropping the listener would reset them. Accept until the backlog is
+    // empty, and let each handler's grace poll answer what has arrived.
+    if listener.set_nonblocking(true).is_ok() {
+        loop {
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    if stream.set_nonblocking(false).is_ok() {
+                        serve(stream);
+                    }
+                }
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::Interrupted | io::ErrorKind::ConnectionAborted
+                    ) => {}
+                // `WouldBlock`: the backlog is empty.
+                Err(_) => break,
+            }
         }
     }
     for handle in handlers {
@@ -595,8 +620,10 @@ impl Connection {
         self.finish(stream, op, scored, seq_len, meta)
     }
 
-    /// Encodes and writes the response; with observability on, times both
-    /// stages and records the request's complete timeline. Returns write
+    /// Encodes and writes the response; with observability on, counts
+    /// the request before its bytes leave (a client that has read its
+    /// answer must find it in `/metrics`), times both stages, and records
+    /// the request's complete timeline after the write. Returns write
     /// success (keep the connection).
     fn finish(
         &self,
@@ -615,6 +642,8 @@ impl Connection {
         } = scored;
         match (&self.obs, meta) {
             (Some(obs), Some(meta)) => {
+                let error = matches!(response, Response::Error { .. });
+                obs.count(self.shard, op, error);
                 let encode_start = Stamp::now();
                 let frame = response.encode_frame();
                 let write_start = Stamp::now();
@@ -642,7 +671,7 @@ impl Connection {
                         transport: "binary",
                         generation: response.generation(),
                         seq_len,
-                        error: matches!(response, Response::Error { .. }),
+                        error,
                         stages,
                     },
                 );

@@ -487,8 +487,6 @@ fn to_json(response: &Response) -> (u16, String) {
                 json_f64(*log_t),
                 match kernel {
                     1 => "compiled",
-                    2 => "batched",
-                    3 => "quantized",
                     _ => "interpreted",
                 },
             ),

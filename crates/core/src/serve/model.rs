@@ -139,12 +139,10 @@ impl ServeModel {
 
     /// Scores `seq` against every cluster, best first — the serve-side
     /// twin of [`SavedModel::classify`], dispatching on the configured
-    /// kernel. The exact kernels are bit-identical (the compiled tables
-    /// hold the exact f64 values the interpreted walk computes, and the
-    /// batched driver shares the per-pair arithmetic); the quantized
-    /// kernel is byte-stable within its documented error bound. The sort
-    /// is the same stable descending `total_cmp` everywhere, so exact
-    /// rankings match offline classification bit for bit.
+    /// kernel. The kernels are bit-identical (the compiled tables hold the
+    /// exact f64 values the interpreted walk computes), and the sort is
+    /// the same stable descending `total_cmp` everywhere, so rankings
+    /// match offline classification bit for bit.
     pub fn classify(&self, seq: &[Symbol]) -> Vec<(usize, SegmentSimilarity)> {
         let mut scored: Vec<(usize, SegmentSimilarity)> = if self.kernel.uses_automaton() {
             self.automata
@@ -231,8 +229,6 @@ impl ServeModel {
             kernel: match self.kernel {
                 ScanKernel::Interpreted => 0,
                 ScanKernel::Compiled => 1,
-                ScanKernel::Batched => 2,
-                ScanKernel::Quantized => 3,
             },
         }
     }

@@ -349,17 +349,37 @@ impl ServeObs {
     /// handlers pass their [`Self::conn_shard`] for cache locality. Shard
     /// choice never changes any total: the registry sums shards on read.
     pub fn record_at(&self, shard: usize, record: &RequestRecord) {
+        self.count(shard, record.op, record.error);
         let t = &self.trace;
         self.record_with(shard, record, &mut |hist, nanos| {
             t.observe(hist, shard, nanos);
         });
     }
 
-    /// [`Self::record_at`], but with the histogram observations buffered
+    /// Counts one request: its per-opcode counter and the aggregate
+    /// request or error total. A handler calls this *before* the response
+    /// bytes leave, so a client that has read its answer always finds the
+    /// request counted in `/metrics`; the timeline follows through
+    /// [`Self::record_buffered`] once the write-back is timed.
+    pub fn count(&self, shard: usize, op: ServeOp, error: bool) {
+        let t = &self.trace;
+        t.add_at(shard, op.counter(), 1);
+        t.add_at(
+            shard,
+            if error {
+                Counter::ServeErrors
+            } else {
+                Counter::ServeRequests
+            },
+            1,
+        );
+    }
+
+    /// The timeline half of [`Self::record_at`] for a request already
+    /// [counted](Self::count), with the histogram observations buffered
     /// in `local` instead of hitting the registry — the per-request cost
-    /// drops from ~10 atomic RMWs to plain stores. Counters (and the
-    /// slow-request check) stay direct, so `/metrics` totals are exact
-    /// the instant a request completes; histogram totals lag by at most
+    /// drops from ~10 atomic RMWs to plain stores. The slow-request check
+    /// stays direct; histogram totals lag by at most
     /// [`ObsLocal::FLUSH_EVERY`] requests per open connection and catch
     /// up when the connection flushes (every `FLUSH_EVERY` records and on
     /// close).
@@ -380,10 +400,10 @@ impl ServeObs {
         local.flush_into(&self.trace, shard);
     }
 
-    /// The one recording body: counters and the slow check go straight to
-    /// the registry; histogram observations go wherever `observe` points
-    /// (the registry for [`Self::record_at`], a connection-local buffer
-    /// for [`Self::record_buffered`]).
+    /// The one timeline body: the slow check goes straight to the
+    /// registry; histogram observations go wherever `observe` points (the
+    /// registry for [`Self::record_at`], a connection-local buffer for
+    /// [`Self::record_buffered`]).
     fn record_with(
         &self,
         shard: usize,
@@ -391,16 +411,6 @@ impl ServeObs {
         observe: &mut impl FnMut(HistKind, u64),
     ) {
         let t = &self.trace;
-        t.add_at(shard, record.op.counter(), 1);
-        t.add_at(
-            shard,
-            if record.error {
-                Counter::ServeErrors
-            } else {
-                Counter::ServeRequests
-            },
-            1,
-        );
         let total = record.stages.total();
         observe(record.op.hist(), total);
         observe(HistKind::ServeAccept, record.stages.accept);
@@ -625,7 +635,6 @@ mod tests {
             scan: 100,
             encode: 7,
             write_back: 8,
-            ..Default::default()
         };
         obs.record(&RequestRecord {
             request_id: obs.next_request_id(),
@@ -713,6 +722,7 @@ mod tests {
                 },
             };
             direct.record_at(7, &rec);
+            buffered.count(7, rec.op, rec.error);
             buffered.record_buffered(7, &mut local, &rec);
         }
         buffered.flush_local(7, &mut local);
@@ -751,6 +761,7 @@ mod tests {
             stages: StageNanos::default(),
         };
         for _ in 0..ObsLocal::FLUSH_EVERY - 1 {
+            obs.count(0, rec.op, rec.error);
             obs.record_buffered(0, &mut local, &rec);
         }
         // Counters are exact immediately; histograms lag in the buffer.
@@ -758,6 +769,7 @@ mod tests {
         assert_eq!(t.counter(Counter::ServeScore), u64::from(ObsLocal::FLUSH_EVERY) - 1);
         assert_eq!(t.hist_counts(HistKind::ServeScore).iter().sum::<u64>(), 0);
         // The FLUSH_EVERY-th record drains the buffer on its own.
+        obs.count(0, rec.op, rec.error);
         obs.record_buffered(0, &mut local, &rec);
         assert_eq!(
             t.hist_counts(HistKind::ServeScore).iter().sum::<u64>(),

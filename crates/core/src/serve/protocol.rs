@@ -216,8 +216,7 @@ pub enum Response {
         alphabet: u32,
         /// The decision threshold, log-space.
         log_t: f64,
-        /// Scan kernel tag: 0 = interpreted, 1 = compiled, 2 = batched,
-        /// 3 = quantized.
+        /// Scan kernel tag: 0 = interpreted, 1 = compiled.
         kernel: u8,
     },
     /// A SWAP succeeded; this is the new generation.

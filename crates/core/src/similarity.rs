@@ -17,7 +17,7 @@
 //! logarithms of the paper's similarity values ([`LogSim`]); `SIM ≥ t`
 //! becomes `log SIM ≥ ln t`.
 
-use cluseq_pst::{CompiledPst, ConditionalModel, Pst, QuantizedPst};
+use cluseq_pst::{CompiledPst, ConditionalModel, Pst};
 use cluseq_seq::{BackgroundModel, Symbol};
 
 /// A similarity score in natural-log space (`ln SIM`).
@@ -564,316 +564,6 @@ fn compiled_batch_lanes(
     }
 }
 
-/// The quantized X/Y/Z scan: [`max_similarity_compiled`] with the f64
-/// ratio table replaced by a [`QuantizedPst`]'s `i16` fixed-point table
-/// and the chain accumulated in exact `i64` arithmetic.
-///
-/// The DP mirrors the exact kernel's decisions step for step —
-/// [`QuantizedPst::QVOID`] entries reproduce the `-∞` chain-restart
-/// semantics — and only the winning chain value is mapped to log space
-/// (`best_q as f64 × scale`). Integer accumulation makes the result
-/// **byte-stable**: a pure function of (automaton, sequence) with no
-/// dependence on evaluation order or thread count, so quantized verdicts
-/// satisfy the incremental cache's column invariant just like exact ones.
-///
-/// The score deviates from [`max_similarity_compiled`] by at most
-/// [`QuantizedPst::error_bound`]`(seq.len())`; the reported maximizing
-/// segment is the quantized DP's own argmax, which may differ from the
-/// exact kernel's when two segments score within the bound of each other.
-pub fn max_similarity_quantized(quantized: &QuantizedPst, seq: &[Symbol]) -> SegmentSimilarity {
-    match quantized_scan(quantized, seq, None) {
-        BoundedSimilarity::Exact(s) => s,
-        BoundedSimilarity::Pruned => unreachable!("unbounded scans never prune"),
-    }
-}
-
-/// [`max_similarity_quantized`] with threshold early-exit, mirroring
-/// [`max_similarity_compiled_bounded`]'s bound in the integer domain:
-///
-/// ```text
-/// bound_q = max(max(y_q, 0) + best_step_q(u), 0) + (rem − 1) · max_step_plus_q
-/// ```
-///
-/// `bound_q` dominates every future chain value *exactly* (integer
-/// arithmetic has no rounding), and `i64 → f64` conversion plus the
-/// correctly-rounded scale multiply are monotone — so `bound_q · scale <
-/// threshold` proves the quantized similarity stays below the threshold
-/// with **no safety slack** (the compiled kernel's `1e-6` margin exists
-/// only to cover f64 bound-vs-DP rounding divergence, which cannot happen
-/// here). Early exit never lies *about the quantized kernel's own score*;
-/// callers comparing against the exact kernel must widen the threshold by
-/// [`QuantizedPst::error_bound`].
-///
-/// When not pruned the result is bit-identical to
-/// [`max_similarity_quantized`].
-pub fn max_similarity_quantized_bounded(
-    quantized: &QuantizedPst,
-    seq: &[Symbol],
-    threshold: f64,
-) -> BoundedSimilarity {
-    quantized_scan(quantized, seq, Some(threshold))
-}
-
-fn quantized_scan(
-    quantized: &QuantizedPst,
-    seq: &[Symbol],
-    threshold: Option<f64>,
-) -> BoundedSimilarity {
-    let mut best = SegmentSimilarity {
-        log_sim: f64::NEG_INFINITY,
-        start: 0,
-        end: 0,
-    };
-    // Integer chain value; `y_void` marks the f64 kernel's `y = -∞` state
-    // (chain killed by a QVOID step or not yet started).
-    let mut best_q = i64::MIN;
-    let mut y: i64 = 0;
-    let mut y_void = true;
-    let mut y_start = 0usize;
-    let mut state = QuantizedPst::START;
-
-    for (i, &sym) in seq.iter().enumerate() {
-        if let Some(t) = threshold {
-            if i % PRUNE_CHECK_INTERVAL == 0 && best.log_sim < t {
-                let rem = (seq.len() - i) as i64;
-                let y_plus = if y_void { 0 } else { y.max(0) };
-                let bound_q = (y_plus + quantized.best_step_q(state)).max(0)
-                    + (rem - 1) * quantized.max_step_plus_q();
-                if quantized.dequantize(bound_q) < t {
-                    return BoundedSimilarity::Pruned;
-                }
-            }
-        }
-        let (qx, next) = quantized.step(state, sym);
-        state = next;
-        if qx == QuantizedPst::QVOID {
-            // x = -∞: the chain through i is void. The f64 kernel keeps
-            // `y_start` untouched here (extended = -∞ ≥ x holds), so we
-            // do too.
-            y_void = true;
-        } else {
-            let x = i64::from(qx);
-            if y_void {
-                y = x;
-                y_start = i;
-                y_void = false;
-            } else {
-                let extended = y + x;
-                if extended >= x {
-                    y = extended;
-                } else {
-                    y = x;
-                    y_start = i;
-                }
-            }
-            if y > best_q {
-                best_q = y;
-                best = SegmentSimilarity {
-                    log_sim: quantized.dequantize(y),
-                    start: y_start,
-                    end: i + 1,
-                };
-            }
-        }
-    }
-    BoundedSimilarity::Exact(best)
-}
-
-/// Batched [`max_similarity_quantized`] — the quantized counterpart of
-/// [`max_similarity_compiled_batch`], and the layout the batching was
-/// built for: each (state, symbol) entry costs 6 bytes (`u32` goto +
-/// `i16` ratio) instead of 12, so twice the automaton stays resident
-/// while the lanes stride it.
-///
-/// Per lane, bit-identical to [`max_similarity_quantized_bounded`] (or
-/// `Exact(`[`max_similarity_quantized`]`)` with `threshold = None`) — the
-/// integer DP makes that trivially exact, with no floating-point caveats.
-pub fn max_similarity_quantized_batch(
-    quantized: &QuantizedPst,
-    seqs: &[&[Symbol]],
-    threshold: Option<f64>,
-) -> Vec<BoundedSimilarity> {
-    let empty = SegmentSimilarity {
-        log_sim: f64::NEG_INFINITY,
-        start: 0,
-        end: 0,
-    };
-    let mut out = vec![BoundedSimilarity::Exact(empty); seqs.len()];
-    for chunk in length_grouped_order(seqs).chunks(BATCH_LANES) {
-        // Lanes the chunk scan never writes (empty sequences are born
-        // retired) must keep the empty-segment verdict.
-        let mut chunk_out = [BoundedSimilarity::Exact(empty); BATCH_LANES];
-        let mut lanes: [&[Symbol]; BATCH_LANES] = [&[]; BATCH_LANES];
-        for (slot, &idx) in chunk.iter().enumerate() {
-            lanes[slot] = seqs[idx];
-        }
-        quantized_batch_lanes(
-            quantized,
-            &lanes[..chunk.len()],
-            threshold,
-            &mut chunk_out[..chunk.len()],
-        );
-        for (&idx, verdict) in chunk.iter().zip(&chunk_out) {
-            out[idx] = *verdict;
-        }
-    }
-    out
-}
-
-/// One ≤[`BATCH_LANES`]-lane chunk of the batched quantized scan — the
-/// same fixed-stack-array structure as [`compiled_batch_lanes`], with the
-/// integer DP of [`max_similarity_quantized`] per lane.
-fn quantized_batch_lanes(
-    quantized: &QuantizedPst,
-    seqs: &[&[Symbol]],
-    threshold: Option<f64>,
-    out: &mut [BoundedSimilarity],
-) {
-    debug_assert!(seqs.len() <= BATCH_LANES && out.len() == seqs.len());
-    let empty = SegmentSimilarity {
-        log_sim: f64::NEG_INFINITY,
-        start: 0,
-        end: 0,
-    };
-    let mut state = [QuantizedPst::START; BATCH_LANES];
-    let mut best_q = [i64::MIN; BATCH_LANES];
-    let mut y = [0i64; BATCH_LANES];
-    let mut y_void = [true; BATCH_LANES];
-    let mut y_start = [0usize; BATCH_LANES];
-    let mut best = [empty; BATCH_LANES];
-    let mut lanes: [&[Symbol]; BATCH_LANES] = [&[]; BATCH_LANES];
-    let mut live = [false; BATCH_LANES];
-    let mut remaining = 0usize;
-    for (lane, seq) in seqs.iter().enumerate() {
-        lanes[lane] = seq;
-        live[lane] = !seq.is_empty();
-        remaining += usize::from(live[lane]);
-    }
-    let max_step_plus_q = quantized.max_step_plus_q();
-    let n = seqs.len().min(BATCH_LANES);
-    let mut i = 0usize;
-
-    // Synchronized fast phase — see [`compiled_batch_lanes`]: while every
-    // lane is live the inner row needs no live/retirement tests, and the
-    // per-lane operation sequence is exactly the single-scan one.
-    if remaining == n && n > 0 {
-        let min_len = lanes[..n].iter().map(|s| s.len()).min().expect("n > 0");
-        while i < min_len {
-            if let Some(t) = threshold {
-                if i % PRUNE_CHECK_INTERVAL == 0 {
-                    for lane in 0..n {
-                        if best[lane].log_sim < t {
-                            let rem = (lanes[lane].len() - i) as i64;
-                            let y_plus = if y_void[lane] { 0 } else { y[lane].max(0) };
-                            let bound_q = (y_plus + quantized.best_step_q(state[lane])).max(0)
-                                + (rem - 1) * max_step_plus_q;
-                            if quantized.dequantize(bound_q) < t {
-                                out[lane] = BoundedSimilarity::Pruned;
-                                live[lane] = false;
-                                remaining -= 1;
-                            }
-                        }
-                    }
-                    if remaining < n {
-                        break;
-                    }
-                }
-            }
-            for lane in 0..n {
-                let (qx, next) = quantized.step(state[lane], lanes[lane][i]);
-                state[lane] = next;
-                if qx == QuantizedPst::QVOID {
-                    y_void[lane] = true;
-                } else {
-                    let x = i64::from(qx);
-                    if y_void[lane] {
-                        y[lane] = x;
-                        y_start[lane] = i;
-                        y_void[lane] = false;
-                    } else {
-                        let extended = y[lane] + x;
-                        if extended >= x {
-                            y[lane] = extended;
-                        } else {
-                            y[lane] = x;
-                            y_start[lane] = i;
-                        }
-                    }
-                    if y[lane] > best_q[lane] {
-                        best_q[lane] = y[lane];
-                        best[lane] = SegmentSimilarity {
-                            log_sim: quantized.dequantize(y[lane]),
-                            start: y_start[lane],
-                            end: i + 1,
-                        };
-                    }
-                }
-            }
-            i += 1;
-        }
-        for lane in 0..n {
-            if live[lane] && lanes[lane].len() == i {
-                out[lane] = BoundedSimilarity::Exact(best[lane]);
-                live[lane] = false;
-            }
-        }
-    }
-
-    // Straggler lanes finish serially — see [`compiled_batch_lanes`]: the
-    // same integer DP at the same absolute positions as the single
-    // quantized scan, without the lockstep tail's per-step liveness tax.
-    for lane in 0..n {
-        if !live[lane] {
-            continue;
-        }
-        let seq = lanes[lane];
-        let mut verdict = None;
-        for j in i..seq.len() {
-            if let Some(t) = threshold {
-                if j % PRUNE_CHECK_INTERVAL == 0 && best[lane].log_sim < t {
-                    let rem = (seq.len() - j) as i64;
-                    let y_plus = if y_void[lane] { 0 } else { y[lane].max(0) };
-                    let bound_q = (y_plus + quantized.best_step_q(state[lane])).max(0)
-                        + (rem - 1) * max_step_plus_q;
-                    if quantized.dequantize(bound_q) < t {
-                        verdict = Some(BoundedSimilarity::Pruned);
-                        break;
-                    }
-                }
-            }
-            let (qx, next) = quantized.step(state[lane], seq[j]);
-            state[lane] = next;
-            if qx == QuantizedPst::QVOID {
-                y_void[lane] = true;
-            } else {
-                let x = i64::from(qx);
-                if y_void[lane] {
-                    y[lane] = x;
-                    y_start[lane] = j;
-                    y_void[lane] = false;
-                } else {
-                    let extended = y[lane] + x;
-                    if extended >= x {
-                        y[lane] = extended;
-                    } else {
-                        y[lane] = x;
-                        y_start[lane] = j;
-                    }
-                }
-                if y[lane] > best_q[lane] {
-                    best_q[lane] = y[lane];
-                    best[lane] = SegmentSimilarity {
-                        log_sim: quantized.dequantize(y[lane]),
-                        start: y_start[lane],
-                        end: j + 1,
-                    };
-                }
-            }
-        }
-        out[lane] = verdict.unwrap_or(BoundedSimilarity::Exact(best[lane]));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1281,108 +971,6 @@ mod tests {
             for (lane, probe) in probes.iter().enumerate() {
                 let single = max_similarity_compiled_bounded(&compiled, probe, t);
                 assert_eq!(batch[lane], single, "lane {lane} threshold {t}");
-            }
-        }
-    }
-
-    #[test]
-    fn quantized_scan_stays_within_the_documented_bound() {
-        let (compiled, probes) = batch_fixture();
-        let quantized = compiled.quantize();
-        for probe in &probes {
-            let exact = max_similarity_compiled(&compiled, probe);
-            let quant = max_similarity_quantized(&quantized, probe);
-            if exact.log_sim.is_finite() {
-                let err = (quant.log_sim - exact.log_sim).abs();
-                let bound = quantized.error_bound(probe.len());
-                assert!(err <= bound, "err {err} vs bound {bound}");
-            } else {
-                assert_eq!(quant.log_sim, f64::NEG_INFINITY);
-            }
-        }
-    }
-
-    #[test]
-    fn quantized_early_exit_never_lies_about_its_own_score() {
-        let (compiled, probes) = batch_fixture();
-        let quantized = compiled.quantize();
-        for probe in &probes {
-            let exact = max_similarity_quantized(&quantized, probe);
-            for k in 0..40 {
-                let t = exact.log_sim.max(-10.0) - 2.0 + 0.3 * k as f64;
-                match max_similarity_quantized_bounded(&quantized, probe, t) {
-                    BoundedSimilarity::Pruned => {
-                        assert!(
-                            exact.log_sim < t,
-                            "pruned at {t} but scores {}",
-                            exact.log_sim
-                        )
-                    }
-                    BoundedSimilarity::Exact(s) => {
-                        assert_eq!(s.log_sim.to_bits(), exact.log_sim.to_bits());
-                        assert_eq!((s.start, s.end), (exact.start, exact.end));
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn quantized_batch_is_bit_identical_to_quantized_single_scans() {
-        let (compiled, probes) = batch_fixture();
-        let quantized = compiled.quantize();
-        let slices: Vec<&[Symbol]> = probes.iter().map(Vec::as_slice).collect();
-        let batch = max_similarity_quantized_batch(&quantized, &slices, None);
-        for (lane, probe) in probes.iter().enumerate() {
-            let single = max_similarity_quantized(&quantized, probe);
-            let got = batch[lane].exact().expect("unbounded batch is exact");
-            assert_eq!(
-                got.log_sim.to_bits(),
-                single.log_sim.to_bits(),
-                "lane {lane}"
-            );
-        }
-        for t in [-1.0, 1.0, 30.0] {
-            let batch = max_similarity_quantized_batch(&quantized, &slices, Some(t));
-            for (lane, probe) in probes.iter().enumerate() {
-                let single = max_similarity_quantized_bounded(&quantized, probe, t);
-                assert_eq!(batch[lane], single, "lane {lane} threshold {t}");
-            }
-        }
-    }
-
-    #[test]
-    fn quantized_void_chains_match_the_exact_kernel() {
-        // Unsmoothed alternating tree: many contexts have raw probability
-        // 0 for the off-pattern symbol, i.e. -∞ ratio entries.
-        use cluseq_pst::{Pst, PstParams};
-        let mut pst = Pst::new(
-            2,
-            PstParams::default()
-                .with_significance(1)
-                .with_max_depth(3)
-                .without_smoothing(),
-        );
-        pst.add_segment(&syms(&[0, 1, 0, 1, 0, 1, 0, 1, 0, 1]));
-        let bg = BackgroundModel::uniform(2);
-        let compiled = CompiledPst::compile(&pst, &bg);
-        let quantized = compiled.quantize();
-        for probe in [
-            syms(&[0, 1, 0, 1]),
-            syms(&[0, 0, 1, 1, 0, 1]),
-            syms(&[1, 1, 1, 1]),
-        ] {
-            let exact = max_similarity_compiled(&compiled, &probe);
-            let quant = max_similarity_quantized(&quantized, &probe);
-            assert_eq!(
-                exact.log_sim.is_finite(),
-                quant.log_sim.is_finite(),
-                "probe {probe:?}"
-            );
-            if exact.log_sim.is_finite() {
-                assert!(
-                    (quant.log_sim - exact.log_sim).abs() <= quantized.error_bound(probe.len())
-                );
             }
         }
     }

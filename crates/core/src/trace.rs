@@ -331,7 +331,10 @@ impl Gauge {
 /// A fixed-bucket latency histogram in the registry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HistKind {
-    /// Per-row scoring latency, recorded by each worker in its own shard.
+    /// Per-row scoring latency, recorded by each worker in its own shard:
+    /// one observation per sequence, or per lane group of up to
+    /// [`BATCH_LANES`](crate::similarity::BATCH_LANES) sequences in the
+    /// compiled snapshot pass.
     ScoreRow,
     /// Whole-iteration wall time.
     IterationWall,

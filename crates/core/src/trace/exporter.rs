@@ -344,7 +344,10 @@ fn counter_help(counter: Counter) -> &'static str {
 
 fn hist_help(hist: HistKind) -> &'static str {
     match hist {
-        HistKind::ScoreRow => "Latency of scoring one sequence against all clusters.",
+        HistKind::ScoreRow => {
+            "Latency of scoring one sequence against all clusters; one \
+             lane group of up to eight sequences in compiled snapshot passes."
+        }
         HistKind::IterationWall => "Wall time of one whole iteration.",
         HistKind::CheckpointWrite => "Wall time of one checkpoint write.",
         HistKind::ServeRequest => "Serve request latency, enqueue to scored response.",

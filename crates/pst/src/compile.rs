@@ -238,15 +238,6 @@ impl CompiledPst {
             + self.ratio.len() * std::mem::size_of::<f64>()
             + self.best_step.len() * std::mem::size_of::<f64>()
     }
-
-    /// Quantizes the ratio table to `i16` fixed point (see
-    /// [`QuantizedPst`](crate::quant::QuantizedPst)). The exact `f64`
-    /// automaton stays the reference; the quantized one trades a bounded,
-    /// documented score error for a 4× smaller hot table and an
-    /// integer-only DP.
-    pub fn quantize(&self) -> crate::quant::QuantizedPst {
-        crate::quant::QuantizedPst::from_compiled(self)
-    }
 }
 
 #[cfg(test)]

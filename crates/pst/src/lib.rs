@@ -45,7 +45,6 @@ pub mod model;
 pub mod node;
 pub mod params;
 pub mod prune;
-pub mod quant;
 pub mod render;
 pub mod scanner;
 pub mod serial;
@@ -57,9 +56,8 @@ pub use divergence::{kl_divergence, variational_distance};
 pub use model::ConditionalModel;
 pub use node::{Node, NodeId};
 pub use params::{PruneStrategy, PstParams};
-pub use quant::QuantizedPst;
 pub use render::RenderOptions;
-pub use scanner::{BatchScanner, ContextScanner};
+pub use scanner::ContextScanner;
 pub use serial::SerialError;
 pub use stats::{PstFootprint, PstStats};
 pub use tree::Pst;

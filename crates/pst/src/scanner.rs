@@ -24,7 +24,6 @@
 
 use cluseq_seq::Symbol;
 
-use crate::compile::CompiledPst;
 use crate::node::NodeId;
 use crate::tree::Pst;
 
@@ -152,79 +151,6 @@ impl<'a> ContextScanner<'a> {
     }
 }
 
-/// A multi-lane automaton cursor over one [`CompiledPst`] — the state
-/// carrier of the batched scan kernel.
-///
-/// Scanning one sequence at a time streams the goto and ratio tables once
-/// per sequence; for automata larger than L2 every position is a cache
-/// miss and the scan is latency-bound on dependent loads (the next index
-/// depends on the previous goto). A `BatchScanner` holds one automaton
-/// state per *lane* (one lane per in-flight sequence) so a driver can
-/// interleave N sequences position by position: the N table loads per
-/// position are independent of each other, giving the memory system N
-/// overlapping misses instead of a serial chain, and hot table rows are
-/// shared across lanes while they are still resident.
-///
-/// The scanner only carries states — the similarity DP registers (`y`,
-/// `best`, segment tracking) stay with the caller, which is what keeps a
-/// batched scan's per-lane operation sequence *identical* to the
-/// single-sequence scan and therefore bit-identical in its results.
-#[derive(Debug, Clone)]
-pub struct BatchScanner<'a> {
-    tables: &'a CompiledPst,
-    /// One automaton state per lane.
-    states: Vec<u32>,
-}
-
-impl<'a> BatchScanner<'a> {
-    /// A scanner with `lanes` lanes, all starting at the empty context.
-    pub fn new(tables: &'a CompiledPst, lanes: usize) -> Self {
-        Self {
-            tables,
-            states: vec![CompiledPst::START; lanes],
-        }
-    }
-
-    /// Number of lanes.
-    pub fn lanes(&self) -> usize {
-        self.states.len()
-    }
-
-    /// The automaton the lanes run against.
-    pub fn tables(&self) -> &'a CompiledPst {
-        self.tables
-    }
-
-    /// Advances `lane` by one symbol, returning the lane's ratio-table
-    /// step (the DP's `ln Xᵢ`). Identical to [`CompiledPst::step`] on the
-    /// lane's state — one lane of a batch scan performs exactly the
-    /// single-sequence scan's operations.
-    #[inline(always)]
-    pub fn step(&mut self, lane: usize, sym: Symbol) -> f64 {
-        let (x, next) = self.tables.step(self.states[lane], sym);
-        self.states[lane] = next;
-        x
-    }
-
-    /// The current automaton state of `lane` (for bound computations).
-    #[inline]
-    pub fn state(&self, lane: usize) -> u32 {
-        self.states[lane]
-    }
-
-    /// `best_step` of the lane's current state — the early-exit bound
-    /// ingredient, looked up without disturbing the lane.
-    #[inline]
-    pub fn best_step(&self, lane: usize) -> f64 {
-        self.tables.best_step(self.states[lane])
-    }
-
-    /// Resets every lane to the start state (reuse across batches).
-    pub fn reset(&mut self) {
-        self.states.fill(CompiledPst::START);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,40 +275,6 @@ mod tests {
             assert_eq!(reused.prediction_node(), pst.prediction_node(&symbols[..i]));
             reused.advance(s);
         }
-    }
-
-    #[test]
-    fn batch_scanner_lanes_track_independent_single_scans() {
-        use cluseq_seq::BackgroundModel;
-        let (alphabet, pst) = build("abcabcaabbccabcbacbca", 1);
-        let compiled = CompiledPst::compile(&pst, &BackgroundModel::uniform(3));
-        let probes: Vec<Vec<Symbol>> = ["abcabc", "ccbbaa", "bacbca"]
-            .iter()
-            .map(|t| Sequence::parse_str(&alphabet, t).unwrap().iter().collect())
-            .collect();
-        let mut batch = BatchScanner::new(&compiled, probes.len());
-        assert_eq!(batch.lanes(), probes.len());
-        // Interleave lanes position by position; every lane must follow
-        // exactly the states and ratios of its own single-sequence scan.
-        let mut singles: Vec<u32> = vec![CompiledPst::START; probes.len()];
-        for i in 0..probes[0].len() {
-            for (lane, probe) in probes.iter().enumerate() {
-                let (want_x, want_next) = compiled.step(singles[lane], probe[i]);
-                assert_eq!(
-                    batch.best_step(lane).to_bits(),
-                    compiled.best_step(singles[lane]).to_bits()
-                );
-                let x = batch.step(lane, probe[i]);
-                singles[lane] = want_next;
-                assert_eq!(x.to_bits(), want_x.to_bits(), "lane {lane} pos {i}");
-                assert_eq!(batch.state(lane), want_next);
-            }
-        }
-        batch.reset();
-        for lane in 0..batch.lanes() {
-            assert_eq!(batch.state(lane), CompiledPst::START);
-        }
-        assert!(std::ptr::eq(batch.tables(), &compiled));
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! the `#[ignore]`d `regenerate_the_fixture` test at the time its format
 //! was current: the first checkpoint of a fixed seeded run, with the
 //! scratch directory in its stored policy scrubbed to a relative path
-//! before committing. Because the whole pipeline is deterministic,
+//! before committing. `checkpoint_v4_batched.ckpt` is a v4 file written
+//! the same way by the last version that had the retired `batched` scan
+//! kernel, with the run switched to the snapshot scan and that kernel; it
+//! pins what old kernel tags mean to today's reader. Because the whole pipeline is deterministic,
 //! resuming a fixture against the same regenerated workload must still
 //! land on the same final clustering as a fresh uninterrupted run — so
 //! these tests fail if a format change breaks old files *or* silently
@@ -144,6 +147,44 @@ fn the_v3_fixture_loads_and_resumes_identically() {
         !ckpt.cache.is_empty(),
         "a boundary of an incremental run must carry cache columns"
     );
+}
+
+#[test]
+fn the_v4_batched_fixture_resumes_as_compiled() {
+    let ckpt = assert_fixture_resumes_identically(
+        "checkpoint_v4_batched.ckpt",
+        generation_params().with_scan_mode(ScanMode::Snapshot),
+    );
+    assert_eq!(ckpt.completed, 1, "fixture captures the first boundary");
+    // Tag 2 named the batched kernel: the compiled tables under the lane
+    // driver. It loads as the compiled kernel, and the resume above
+    // proves the arithmetic is unchanged.
+    assert_eq!(ckpt.params.scan_kernel, ScanKernel::Compiled);
+    assert_eq!(ckpt.params.scan_mode, ScanMode::Snapshot);
+}
+
+#[test]
+fn a_quantized_kernel_tag_is_refused_by_name() {
+    let bytes = fs::read(fixture_path("checkpoint_v4_batched.ckpt")).expect("read fixture");
+    let ckpt = Checkpoint::load(&mut bytes.as_slice()).expect("tag 2 loads");
+    // Re-saving writes the compiled tag; the kernel tag is the one byte
+    // where the two files differ.
+    let mut resaved = Vec::new();
+    ckpt.save(&mut resaved).expect("Vec write cannot fail");
+    assert_eq!(resaved.len(), bytes.len());
+    let differing: Vec<usize> = (0..bytes.len())
+        .filter(|&i| bytes[i] != resaved[i])
+        .collect();
+    assert_eq!(differing.len(), 1, "only the kernel tag may differ");
+    let at = differing[0];
+    assert_eq!((bytes[at], resaved[at]), (2, 1));
+
+    // The same bytes with tag 3 name a kernel whose scores no remaining
+    // kernel reproduces.
+    let mut tagged = bytes;
+    tagged[at] = 3;
+    let err = Checkpoint::load(&mut tagged.as_slice()).expect_err("tag 3 must be refused");
+    assert!(err.to_string().contains("quantized kernel"), "{err}");
 }
 
 /// Regenerates the *current-format* fixture (today: v3). Run explicitly

@@ -1,19 +1,15 @@
-//! The kernel-equivalence gate: the four scan kernels behind
-//! `--scan-kernel` form a matrix of contracts, and every entry is proven
-//! here on random PSTs — before and after pruning, smoothed or not.
+//! The kernel-equivalence gate: the scan kernels behind `--scan-kernel`
+//! and the two drivers of the compiled tables form a matrix of contracts,
+//! and every entry is proven here on random PSTs — before and after
+//! pruning, smoothed or not.
 //!
 //! - **interpreted ↔ compiled**: byte-identical (`f64::to_bits`, not an
 //!   epsilon) — same max log-ratio bits, same segment.
 //! - **compiled ↔ batched**: byte-identical per lane, including *which*
-//!   lanes the threshold early-exit prunes; the batch driver only
+//!   lanes the threshold early-exit prunes; the lane driver only
 //!   interleaves lanes, it never changes a lane's arithmetic.
-//! - **quantized ↔ exact**: deterministic, and within the proven error
-//!   bound `scale · (⌈len/2⌉ + 1)` of the exact score; threshold
-//!   decisions agree whenever the exact score clears the threshold by
-//!   more than the bound.
-//! - **early exit (both exact and quantized)**: may only skip pairs that
-//!   are provably below the threshold — a pruned pair can never hide a
-//!   would-be join.
+//! - **early exit**: may only skip pairs that are provably below the
+//!   threshold — a pruned pair can never hide a would-be join.
 //!
 //! A full-pipeline matrix at the bottom seals the same contracts
 //! end-to-end through seeding, re-clustering, and the final sweep.
@@ -22,8 +18,7 @@ use proptest::prelude::*;
 
 use cluseq::core::{
     max_similarity_compiled, max_similarity_compiled_batch, max_similarity_compiled_bounded,
-    max_similarity_pst, max_similarity_quantized, max_similarity_quantized_batch,
-    max_similarity_quantized_bounded, BoundedSimilarity,
+    max_similarity_pst, BoundedSimilarity,
 };
 use cluseq::prelude::*;
 use cluseq_test_utils::{arb_pst_workload, clustered_db, observe, PstWorkload};
@@ -128,128 +123,6 @@ proptest! {
             }
         }
     }
-
-    /// quantized ↔ exact: the quantized score lands within the proven
-    /// bound `scale · (⌈len/2⌉ + 1)` of the exact score, and the `-∞`
-    /// verdict (no scorable segment) round-trips exactly — quantization
-    /// can blur a score but never invent or destroy one.
-    #[test]
-    fn quantized_error_is_within_the_proven_bound(w in arb_pst_workload()) {
-        let (pst, background) = w.build();
-        let probe = w.probe_symbols();
-        let exact = max_similarity_pst(&pst, &background, &probe);
-        let quantized = CompiledPst::compile(&pst, &background).quantize();
-        let approx = max_similarity_quantized(&quantized, &probe);
-        if exact.log_sim.is_infinite() {
-            prop_assert!(
-                approx.log_sim.is_infinite() && approx.log_sim < 0.0,
-                "exact is -inf but quantized scored {}",
-                approx.log_sim
-            );
-        } else {
-            let bound = quantized.error_bound(probe.len());
-            prop_assert!(
-                (exact.log_sim - approx.log_sim).abs() <= bound,
-                "quantized error {} exceeds the proven bound {} (exact {}, quantized {})",
-                (exact.log_sim - approx.log_sim).abs(),
-                bound,
-                exact.log_sim,
-                approx.log_sim
-            );
-        }
-    }
-
-    /// Threshold-decision agreement: whenever the exact score clears (or
-    /// misses) the threshold by more than the error bound, the quantized
-    /// kernel makes the *same* join/reject decision. Disagreement is only
-    /// possible inside the bound-wide band around the threshold — which
-    /// is exactly what EXPERIMENTS.md's methodology section documents.
-    #[test]
-    fn threshold_decisions_agree_outside_the_error_bound(
-        w in arb_pst_workload(),
-        threshold in -5.0f64..200.0,
-    ) {
-        let (pst, background) = w.build();
-        let probe = w.probe_symbols();
-        let exact = max_similarity_pst(&pst, &background, &probe);
-        let quantized = CompiledPst::compile(&pst, &background).quantize();
-        let approx = max_similarity_quantized(&quantized, &probe);
-        let bound = quantized.error_bound(probe.len());
-        if (exact.log_sim - threshold).abs() > bound {
-            prop_assert_eq!(
-                approx.log_sim >= threshold,
-                exact.log_sim >= threshold,
-                "decisions diverge outside the band: exact {} vs quantized {} at threshold {} (bound {})",
-                exact.log_sim,
-                approx.log_sim,
-                threshold,
-                bound
-            );
-        }
-    }
-
-    /// Quantized early-exit contract (slack-free by construction — the
-    /// integer bound is exact): the bounded scan either reproduces the
-    /// unbounded quantized result bit-for-bit, or prunes a pair whose
-    /// quantized score really is below the threshold.
-    #[test]
-    fn quantized_early_exit_never_lies(
-        w in arb_pst_workload(),
-        threshold in -5.0f64..200.0,
-    ) {
-        let (pst, background) = w.build();
-        let probe = w.probe_symbols();
-        let quantized = CompiledPst::compile(&pst, &background).quantize();
-        let full = max_similarity_quantized(&quantized, &probe);
-        match max_similarity_quantized_bounded(&quantized, &probe, threshold) {
-            BoundedSimilarity::Exact(sim) => {
-                prop_assert_eq!(sim.log_sim.to_bits(), full.log_sim.to_bits());
-                prop_assert_eq!((sim.start, sim.end), (full.start, full.end));
-            }
-            BoundedSimilarity::Pruned => {
-                prop_assert!(
-                    full.log_sim < threshold,
-                    "pruned a pair whose quantized score {} >= threshold {}",
-                    full.log_sim,
-                    threshold
-                );
-            }
-        }
-    }
-
-    /// quantized batch ↔ quantized single: the integer batch driver is
-    /// byte-identical per lane to the single-sequence quantized scan,
-    /// prune verdicts included.
-    #[test]
-    fn quantized_batch_is_byte_identical_per_lane(
-        w in arb_pst_workload(),
-        threshold in prop::option::of(-5.0f64..200.0),
-    ) {
-        let (pst, background) = w.build();
-        let quantized = CompiledPst::compile(&pst, &background).quantize();
-        let lanes = lanes_of(&w);
-        let refs: Vec<&[Symbol]> = lanes.iter().map(Vec::as_slice).collect();
-        let batch = max_similarity_quantized_batch(&quantized, &refs, threshold);
-        prop_assert_eq!(batch.len(), refs.len());
-        for (lane, got) in batch.iter().enumerate() {
-            let single = match threshold {
-                Some(t) => max_similarity_quantized_bounded(&quantized, refs[lane], t),
-                None => {
-                    BoundedSimilarity::Exact(max_similarity_quantized(&quantized, refs[lane]))
-                }
-            };
-            match (got, &single) {
-                (BoundedSimilarity::Exact(b), BoundedSimilarity::Exact(s)) => {
-                    prop_assert_eq!(b.log_sim.to_bits(), s.log_sim.to_bits(), "lane {}", lane);
-                    prop_assert_eq!((b.start, b.end), (s.start, s.end), "lane {} segment", lane);
-                }
-                (BoundedSimilarity::Pruned, BoundedSimilarity::Pruned) => {}
-                (b, s) => {
-                    prop_assert!(false, "lane {lane} verdicts diverge: batched {b:?} vs single {s:?}");
-                }
-            }
-        }
-    }
 }
 
 // ---- full-pipeline matrix ----------------------------------------------
@@ -266,10 +139,9 @@ fn pipeline_params(mode: ScanMode, kernel: ScanKernel, threads: usize) -> Cluseq
         .with_threads(threads)
 }
 
-/// End-to-end seal on the exact side of the matrix: under both scan
-/// modes, the interpreted, compiled, and batched kernels produce
-/// byte-identical outcomes — memberships, thresholds (as raw bits),
-/// history — at every thread count.
+/// End-to-end seal on the matrix: under both scan modes, the interpreted
+/// and compiled kernels produce byte-identical outcomes — memberships,
+/// thresholds (as raw bits), history — at every thread count.
 #[test]
 fn full_pipeline_exact_kernels_are_byte_identical() {
     let db = clustered_db(120, 3, 90, 30, 0.05, 77);
@@ -281,11 +153,7 @@ fn full_pipeline_exact_kernels_are_byte_identical() {
             "{mode:?}: the reference run found no clusters — the matrix \
              comparison would be vacuous"
         );
-        for kernel in [
-            ScanKernel::Interpreted,
-            ScanKernel::Compiled,
-            ScanKernel::Batched,
-        ] {
+        for kernel in [ScanKernel::Interpreted, ScanKernel::Compiled] {
             for threads in [1usize, 4] {
                 let got = observe(&Cluseq::new(pipeline_params(mode, kernel, threads)).run(&db));
                 assert_eq!(
@@ -294,33 +162,6 @@ fn full_pipeline_exact_kernels_are_byte_identical() {
                      the compiled serial run"
                 );
             }
-        }
-    }
-}
-
-/// End-to-end seal on the quantized corner: the quantized kernel is a
-/// *deterministic* approximation — its outcome is byte-stable across
-/// thread counts and across scan modes' serial/parallel drivers, and it
-/// still finds a non-trivial clustering on a plainly clustered workload.
-#[test]
-fn full_pipeline_quantized_kernel_is_deterministic() {
-    let db = clustered_db(120, 3, 90, 30, 0.05, 77);
-    for mode in [ScanMode::Incremental, ScanMode::Snapshot] {
-        let reference =
-            observe(&Cluseq::new(pipeline_params(mode, ScanKernel::Quantized, 1)).run(&db));
-        assert!(
-            !reference.memberships.is_empty(),
-            "{mode:?}: the quantized run found no clusters"
-        );
-        for threads in [2usize, 4, 8] {
-            let got = observe(
-                &Cluseq::new(pipeline_params(mode, ScanKernel::Quantized, threads)).run(&db),
-            );
-            assert_eq!(
-                got, reference,
-                "{mode:?} quantized run with {threads} threads diverged from \
-                 the serial quantized run"
-            );
         }
     }
 }

@@ -75,16 +75,15 @@ fn store_kernel_threads_and_shard_grid_is_byte_identical() {
     );
 
     // A diagonal through the store × kernel × threads × shard space:
-    // every *exact* kernel appears (Quantized is approximate by contract —
-    // see kernel_equivalence.rs — so it has no byte-identity claim), both
-    // thread counts, sharded and unsharded, and a cache budget small
-    // enough to force evictions on two cells.
+    // both kernels, both thread counts, sharded and unsharded (a shard of
+    // 17 leaves a partial lane group in every shard), and a cache budget
+    // small enough to force evictions on two cells.
     let cells: [(ScanKernel, usize, Option<usize>, Option<usize>); 5] = [
         (ScanKernel::Compiled, 4, None, None),
         (ScanKernel::Compiled, 4, Some(32), Some(1)),
         (ScanKernel::Interpreted, 1, Some(32), None),
-        (ScanKernel::Batched, 4, Some(17), None),
-        (ScanKernel::Batched, 1, None, Some(1)),
+        (ScanKernel::Compiled, 4, Some(17), None),
+        (ScanKernel::Compiled, 1, None, Some(1)),
     ];
     for backend in ["memory", "file"] {
         let store: &dyn SequenceStore = match backend {
