@@ -6,13 +6,10 @@
 //!
 //! 1. **single-in-flight** — one connection, strictly sequential
 //!    request/response; the baseline a naive client sees.
-//! 2. **batched** — `--clients` (default 16) closed-loop connections;
-//!    the dispatcher coalesces concurrently queued requests into batches
-//!    scored through `parallel_map` at `--threads` (default 4).
+//! 2. **concurrent** — `--clients` (default 16) closed-loop connections,
+//!    each answered by its own connection thread.
 //!
-//! Both phases run with request tracing enabled (an in-memory registry),
-//! so the report also carries the server-side mean queue wait per phase,
-//! read back from the `serve_stage_queue_wait` histogram.
+//! Both phases run with request tracing enabled (an in-memory registry).
 //!
 //! A third section measures the observability tax directly: trios of
 //! fresh server instances (two untraced, one traced) probed with
@@ -24,16 +21,16 @@
 //!
 //! ```sh
 //! cargo run --release -p cluseq-bench --bin bench_serve \
-//!     [--quick] [--threads N] [--clients N] [--out BENCH_serve.json]
+//!     [--quick] [--clients N] [--out BENCH_serve.json]
 //! ```
 //!
-//! The target trajectory is batched throughput ≥ 3× the single-in-flight
-//! qps at `--threads 4`. That ratio needs ≥ 4 cores: batching converts
-//! idle round-trip gaps into parallel scoring, so on a single-core host
-//! (the JSON records `cores`) the two phases are both CPU-bound and the
-//! ratio only reflects amortized wakeup overhead. The overhead deltas
-//! are likewise noisier on a single core, where client and server share
-//! one hardware thread.
+//! The target trajectory is concurrent throughput ≥ 3× the
+//! single-in-flight qps. That ratio needs ≥ 4 cores: concurrent
+//! connections turn idle round-trip gaps into parallel scoring, so on a
+//! host with fewer cores (the JSON records `cores`) client and server
+//! threads share them and the ratio stays unverified. The overhead deltas
+//! are likewise noisier on few cores, where client and server share
+//! hardware threads.
 
 use std::path::Path;
 use std::sync::{Arc, Barrier};
@@ -45,7 +42,7 @@ use cluseq_core::serve::client::ServeClient;
 use cluseq_core::serve::model::ServeModel;
 use cluseq_core::serve::obs::{ObsConfig, ServeObs};
 use cluseq_core::serve::{ServeConfig, Server};
-use cluseq_core::trace::{HistKind, TraceSession, TraceShared};
+use cluseq_core::trace::TraceSession;
 use cluseq_core::{Cluseq, CluseqParams, ScanKernel};
 use cluseq_datagen::SyntheticSpec;
 use cluseq_seq::Symbol;
@@ -55,7 +52,6 @@ struct PhaseStats {
     p50_us: f64,
     p95_us: f64,
     p99_us: f64,
-    mean_queue_wait_us: f64,
 }
 
 fn percentile(sorted: &[u64], p: f64) -> f64 {
@@ -66,57 +62,22 @@ fn percentile(sorted: &[u64], p: f64) -> f64 {
     sorted[idx] as f64 / 1_000.0
 }
 
-/// Mean of the server-side queue-wait histogram since `before`.
-fn queue_wait_mean_us(trace: &TraceShared, before: (u64, u64)) -> f64 {
-    let (sum0, count0) = before;
-    let sum = trace.hist_sum(HistKind::ServeQueueWait) - sum0;
-    let count = trace
-        .hist_counts(HistKind::ServeQueueWait)
-        .iter()
-        .sum::<u64>()
-        - count0;
-    if count == 0 {
-        0.0
-    } else {
-        sum as f64 / count as f64 / 1_000.0
-    }
-}
-
-fn queue_wait_snapshot(trace: &TraceShared) -> (u64, u64) {
-    (
-        trace.hist_sum(HistKind::ServeQueueWait),
-        trace.hist_counts(HistKind::ServeQueueWait).iter().sum(),
-    )
-}
-
-fn stats(
-    total: usize,
-    wall: Duration,
-    mut latencies_ns: Vec<u64>,
-    mean_queue_wait_us: f64,
-) -> PhaseStats {
+fn stats(total: usize, wall: Duration, mut latencies_ns: Vec<u64>) -> PhaseStats {
     latencies_ns.sort_unstable();
     PhaseStats {
         qps: total as f64 / wall.as_secs_f64(),
         p50_us: percentile(&latencies_ns, 0.50),
         p95_us: percentile(&latencies_ns, 0.95),
         p99_us: percentile(&latencies_ns, 0.99),
-        mean_queue_wait_us,
     }
 }
 
 /// One connection, one request in flight at a time.
-fn run_single(
-    addr: std::net::SocketAddr,
-    queries: &[Vec<Symbol>],
-    requests: usize,
-    trace: &TraceShared,
-) -> PhaseStats {
+fn run_single(addr: std::net::SocketAddr, queries: &[Vec<Symbol>], requests: usize) -> PhaseStats {
     let mut client = ServeClient::connect(addr).expect("connect");
     for q in queries.iter().take(64) {
         client.assign(q).expect("warmup assign");
     }
-    let before = queue_wait_snapshot(trace);
     let mut latencies = Vec::with_capacity(requests);
     let start = Instant::now();
     for i in 0..requests {
@@ -126,20 +87,18 @@ fn run_single(
         latencies.push(sent.elapsed().as_nanos() as u64);
     }
     let wall = start.elapsed();
-    stats(requests, wall, latencies, queue_wait_mean_us(trace, before))
+    stats(requests, wall, latencies)
 }
 
 /// `clients` closed-loop connections hammering concurrently.
-fn run_batched(
+fn run_concurrent(
     addr: std::net::SocketAddr,
     queries: &[Vec<Symbol>],
     clients: usize,
     requests: usize,
-    trace: &TraceShared,
 ) -> PhaseStats {
     let per_client = requests / clients;
     let barrier = Barrier::new(clients + 1);
-    let before = queue_wait_snapshot(trace);
     let (wall, latencies) = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)
             .map(|c| {
@@ -152,7 +111,7 @@ fn run_batched(
                     barrier.wait();
                     let mut latencies = Vec::with_capacity(per_client);
                     for i in 0..per_client {
-                        // Stagger starting offsets so batches mix queries.
+                        // Stagger starting offsets so clients mix queries.
                         let q = &queries[(i + c * 7) % queries.len()];
                         let sent = Instant::now();
                         client.assign(q).expect("assign");
@@ -170,12 +129,7 @@ fn run_batched(
             .collect();
         (start.elapsed(), latencies)
     });
-    stats(
-        per_client * clients,
-        wall,
-        latencies,
-        queue_wait_mean_us(trace, before),
-    )
+    stats(per_client * clients, wall, latencies)
 }
 
 /// One single-in-flight burst on an already-warm connection; returns the
@@ -309,9 +263,6 @@ fn measure_overhead(
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let out = flag_value("--out").unwrap_or_else(|| "BENCH_serve.json".to_string());
-    let threads: usize = flag_value("--threads")
-        .map(|v| v.parse().expect("--threads needs an integer"))
-        .unwrap_or(4);
     let clients: usize = flag_value("--clients")
         .map(|v| v.parse().expect("--clients needs an integer"))
         .unwrap_or(16);
@@ -348,8 +299,6 @@ fn main() {
     let model = ServeModel::load(&model_path, None, ScanKernel::Compiled, 1).expect("load model");
     let config = ServeConfig {
         addr: "127.0.0.1:0".into(),
-        threads,
-        max_batch: 64,
         kernel: ScanKernel::Compiled,
         frame_timeout: Duration::from_secs(30),
         watch_sighup: false,
@@ -358,26 +307,25 @@ fn main() {
         ServeObs::new(TraceSession::in_memory().shared_arc(), &ObsConfig::default())
             .expect("open obs"),
     );
-    let trace = Arc::clone(obs.registry());
     let server = Server::start(model, None, &config, Some(obs)).expect("start server");
     let queries: Vec<Vec<Symbol>> = (0..db.len())
         .map(|i| db.sequence(i).symbols().to_vec())
         .collect();
 
     eprintln!(
-        "serving {} clusters on {} ({} cores, {threads} scoring threads)",
+        "serving {} clusters on {} ({} cores)",
         saved.cluster_count(),
         server.addr(),
         cores
     );
-    let single = run_single(server.addr(), &queries, requests, &trace);
-    let batched = run_batched(server.addr(), &queries, clients, requests, &trace);
+    let single = run_single(server.addr(), &queries, requests);
+    let concurrent = run_concurrent(server.addr(), &queries, clients, requests);
     server.shutdown();
 
     let overhead = measure_overhead(&model_path, &config, &queries, requests);
     let _ = std::fs::remove_file(&model_path);
 
-    let speedup = batched.qps / single.qps;
+    let speedup = concurrent.qps / single.qps;
     let row = |name: String, s: &PhaseStats| {
         vec![
             name,
@@ -385,18 +333,17 @@ fn main() {
             format!("{:.0}", s.p50_us),
             format!("{:.0}", s.p95_us),
             format!("{:.0}", s.p99_us),
-            format!("{:.1}", s.mean_queue_wait_us),
         ]
     };
     print_table(
-        "serve: single-in-flight vs batched concurrent load (traced)",
-        &["phase", "qps", "p50 (us)", "p95 (us)", "p99 (us)", "queue wait (us)"],
+        "serve: single-in-flight vs concurrent load (traced)",
+        &["phase", "qps", "p50 (us)", "p95 (us)", "p99 (us)"],
         &[
             row("single".into(), &single),
-            row(format!("batched x{clients}"), &batched),
+            row(format!("concurrent x{clients}"), &concurrent),
         ],
     );
-    println!("\nbatched/single throughput: {speedup:.2}x (target >= 3x on >= 4 cores; this host: {cores})");
+    println!("\nconcurrent/single throughput: {speedup:.2}x (target >= 3x on >= 4 cores; this host: {cores})");
     println!(
         "tracing overhead: {:.2}% (traced {:.0} vs untraced {:.0} qps, budget < 3%); untraced A/A noise {:.2}% (budget < 1%)",
         overhead.trace_overhead_pct, overhead.traced_qps, overhead.untraced_qps, overhead.disabled_aa_pct
@@ -405,21 +352,21 @@ fn main() {
     let peak_rss = peak_rss_bytes().unwrap_or(0);
     let phase_json = |s: &PhaseStats| {
         format!(
-            "{{\"qps\": {:.1}, \"p50_us\": {:.1}, \"p95_us\": {:.1}, \"p99_us\": {:.1}, \"mean_queue_wait_us\": {:.1}}}",
-            s.qps, s.p50_us, s.p95_us, s.p99_us, s.mean_queue_wait_us,
+            "{{\"qps\": {:.1}, \"p50_us\": {:.1}, \"p95_us\": {:.1}, \"p99_us\": {:.1}}}",
+            s.qps, s.p50_us, s.p95_us, s.p99_us,
         )
     };
     let json = format!(
         "{{\n  \"bench\": \"serve\",\n  \"quick\": {quick},\n  \"peak_rss_bytes\": {peak_rss},\n  \"cores\": {cores},\n  \
-         \"threads\": {threads},\n  \"clients\": {clients},\n  \"requests_per_phase\": {requests},\n  \
+         \"clients\": {clients},\n  \"requests_per_phase\": {requests},\n  \
          \"traced\": true,\n  \
          \"single\": {},\n  \
-         \"batched\": {},\n  \
+         \"concurrent\": {},\n  \
          \"speedup\": {speedup:.4},\n  \
          \"overhead\": {{\"untraced_qps\": {:.1}, \"traced_qps\": {:.1}, \"trace_overhead_pct\": {:.3}, \"disabled_aa_pct\": {:.3}, \"trio_overhead_pct\": [{}]}},\n  \
          \"note\": \"overhead numbers are medians of per-trio estimates over 16 respawned server trios, 64 order-rotated fine-grained sweeps each; noisy when cores=1 because client and server share one hardware thread\"\n}}\n",
         phase_json(&single),
-        phase_json(&batched),
+        phase_json(&concurrent),
         overhead.untraced_qps,
         overhead.traced_qps,
         overhead.trace_overhead_pct,

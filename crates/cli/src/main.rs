@@ -66,8 +66,6 @@ SERVE OPTIONS:
                          out of core from a CSEQ binary (default memory)
   --addr ADDR            bind address (default 127.0.0.1:7878; port 0
                          picks a free port — the bound address is printed)
-  --threads N            scoring worker threads per batch (default 1)
-  --max-batch N          most requests one scoring batch drains (default 64)
   --scan-kernel interpreted|compiled
                          query scan kernel: walk the suffix tree, or scan
                          its compiled transition tables; bit-identical
@@ -76,9 +74,9 @@ SERVE OPTIONS:
                          take to finish arriving (default 5000)
   --metrics-addr ADDR    standalone Prometheus exporter for the serve
                          registry: per-opcode request counters and latency
-                         histograms, per-stage timing histograms, queue
-                         depth, in-flight, batch size, generation, RSS
-                         (the serve port's GET /metrics renders the same)
+                         histograms, per-stage timing histograms,
+                         generation, RSS (the serve port's GET /metrics
+                         renders the same)
   --slow-log PATH        append a crash-safe JSONL record (request id,
                          opcode, generation, full stage timing breakdown)
                          for every request at or over the slow threshold;
@@ -91,9 +89,9 @@ SERVE OPTIONS:
                          `cluseq trace-summary PATH`
 
   Any of --metrics-addr / --slow-log / --trace enables request tracing:
-  every accepted request gets an id and a seven-stage timeline (accept,
-  decode, queue wait, batch formation, scan, encode, write-back). With
-  none of them the serve path is entirely uninstrumented.
+  every accepted request gets an id and a five-stage timeline (accept,
+  decode, scan, encode, write-back). With none of them the serve path is
+  entirely uninstrumented.
 
   The daemon answers a length-prefixed binary protocol (ASSIGN, SCORE,
   ANOMALY, INFO, SWAP, SHUTDOWN) and speaks just enough HTTP/1.1 on the
@@ -102,14 +100,14 @@ SERVE OPTIONS:
   or characters `abab`; /anomaly takes ?threshold=LN_T), POST /swap
   (body = model path). SIGHUP atomically reloads the model file in
   place: in-flight requests finish on the generation that scored them,
-  none are dropped. SIGTERM drains gracefully: queued requests are
+  none are dropped. SIGTERM drains gracefully: requests already read are
   answered, then the observability streams are flushed.
 
 TOP OPTIONS:
   cluseq top [ADDR]      live dashboard over a serve daemon's /metrics
-                         (default 127.0.0.1:7878): qps, in-flight, queue
-                         depth, per-opcode p50/p95/p99/p999, per-stage
-                         means, generation, RSS
+                         (default 127.0.0.1:7878): qps, per-opcode
+                         p50/p95/p99/p999, per-stage means, generation,
+                         RSS
   --once                 print one frame (two scrapes 250 ms apart) and
                          exit — for scripts and CI
   --interval-ms MS       live refresh interval (default 2000)
@@ -780,8 +778,6 @@ fn serve(args: &Args) -> ExitCode {
     };
     let config = ServeConfig {
         addr: args.get_str("addr").unwrap_or("127.0.0.1:7878").to_owned(),
-        threads: args.get("threads", 1usize).max(1),
-        max_batch: args.get("max-batch", 64usize).max(1),
         kernel: args.get("scan-kernel", ScanKernel::Compiled),
         frame_timeout: std::time::Duration::from_millis(args.get("frame-timeout-ms", 5000u64)),
         watch_sighup: true,

@@ -4,7 +4,7 @@
 //! The command polls the Prometheus text exposition (either the serve
 //! port's HTTP facade or the standalone `--metrics-addr` exporter — both
 //! serve the same registry), computes rates from consecutive scrapes, and
-//! renders qps, in-flight, queue depth, per-opcode latency percentiles,
+//! renders qps, per-opcode latency percentiles, per-stage means,
 //! generation, and RSS. `--once` takes two scrapes a beat apart, prints a
 //! single frame, and exits — for scripts and CI smoke jobs.
 //!
@@ -236,11 +236,7 @@ fn render(addr: &str, previous: &Scrape, current: &Scrape) -> String {
         fmt_bytes(current.scalar("cluseq_process_rss_bytes")),
     ));
     out.push_str(&format!(
-        "qps {qps:>8.1}   in-flight {:>4}   queue depth {:>4}   batches {}   \
-         swaps {}   errors {}   slow {}\n\n",
-        current.scalar("cluseq_serve_in_flight") as u64,
-        current.scalar("cluseq_serve_queue_depth") as u64,
-        current.scalar("cluseq_serve_batches_total") as u64,
+        "qps {qps:>8.1}   swaps {}   errors {}   slow {}\n\n",
         current.scalar("cluseq_serve_swaps_total") as u64,
         current.scalar("cluseq_serve_errors_total") as u64,
         current.scalar("cluseq_serve_slow_requests_total") as u64,
@@ -280,8 +276,6 @@ fn render(addr: &str, previous: &Scrape, current: &Scrape) -> String {
     for (label, base) in [
         ("accept", "cluseq_serve_stage_accept_seconds"),
         ("decode", "cluseq_serve_stage_decode_seconds"),
-        ("queue_wait", "cluseq_serve_stage_queue_wait_seconds"),
-        ("batch_form", "cluseq_serve_stage_batch_form_seconds"),
         ("scan", "cluseq_serve_stage_scan_seconds"),
         ("encode", "cluseq_serve_stage_encode_seconds"),
         ("write_back", "cluseq_serve_stage_write_back_seconds"),
@@ -290,13 +284,6 @@ fn render(addr: &str, previous: &Scrape, current: &Scrape) -> String {
         let sum = current.scalar(&format!("{base}_sum"));
         let mean = if count > 0.0 { Some(sum / count) } else { None };
         out.push_str(&format!("{label:<12} {}\n", fmt_ms(mean)));
-    }
-    let jobs_count = current.scalar("cluseq_serve_batch_jobs_count");
-    if jobs_count > 0.0 {
-        out.push_str(&format!(
-            "\nmean batch size {:.1} jobs\n",
-            current.scalar("cluseq_serve_batch_jobs_sum") / jobs_count
-        ));
     }
     out
 }
@@ -342,6 +329,6 @@ mod tests {
         let frame = render("127.0.0.1:0", &a, &b);
         assert!(frame.contains("cluseq top"));
         assert!(frame.contains("assign"));
-        assert!(frame.contains("queue_wait"));
+        assert!(frame.contains("write_back"));
     }
 }

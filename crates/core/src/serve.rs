@@ -11,14 +11,14 @@
 //! Three properties carry the subsystem, each with its own adversarial
 //! test suite:
 //!
-//! - **Batched determinism** ([`engine`]): concurrent requests are
-//!   drained into arrival-order batches and scored through the same
-//!   deterministic [`crate::score::parallel_map`] as the offline scan, so
-//!   responses are bit-identical to single-request scoring at any
-//!   `--threads` (`tests/serve_concurrent.rs`).
+//! - **Concurrent determinism** ([`engine`]): each connection handler
+//!   scores its own requests against the model generation it pinned, and
+//!   scoring is a pure function of (generation, query), so responses are
+//!   bit-identical to offline scoring at any number of concurrent clients
+//!   (`tests/serve_concurrent.rs`).
 //! - **Epoch-pinned hot swap** ([`engine::ServeEngine::swap`] /
 //!   SIGHUP): a generation switch is an `Arc` pointer swap; in-flight
-//!   batches finish on the generation they pinned, every response carries
+//!   requests finish on the generation they pinned, every response carries
 //!   its generation id, and zero requests drop (`tests/serve_swap.rs`).
 //! - **A total protocol** ([`protocol`]): hostile bytes — truncation,
 //!   oversized length prefixes, garbage magic, slow-loris stalls — get a
@@ -27,12 +27,12 @@
 //!
 //! A fourth, optional, rides along: **request observability** ([`obs`]).
 //! With a [`ServeObs`] bundle attached, every accepted request gets an id
-//! and a seven-stage timeline (accept → decode → queue wait → batch
-//! formation → scan → encode → write-back) recorded into the sharded
-//! registry, outliers land in a crash-safe slow-request log, and the HTTP
-//! facade grows `/healthz`, `/readyz`, and the full `/metrics` series the
-//! `cluseq top` dashboard reads. Without the bundle the daemon pays for
-//! none of it — not even the clock reads.
+//! and a five-stage timeline (accept → decode → scan → encode →
+//! write-back) recorded into the sharded registry, outliers land in a
+//! crash-safe slow-request log, and the HTTP facade grows `/healthz`,
+//! `/readyz`, and the full `/metrics` series the `cluseq top` dashboard
+//! reads. Without the bundle the daemon pays for none of it — not even
+//! the clock reads.
 
 pub mod client;
 pub mod engine;
@@ -54,7 +54,7 @@ use std::time::{Duration, Instant};
 use cluseq_seq::SequenceStore;
 
 use crate::config::ScanKernel;
-use engine::{EngineHandle, Scored, ServeEngine, Work};
+use engine::{ServeEngine, Work};
 use model::ServeModel;
 use obs::{ObsLocal, RequestRecord, ServeObs, ServeOp, StageNanos};
 use crate::trace::stamp::Stamp;
@@ -63,15 +63,11 @@ use protocol::{errcode, parse_header, ProtoError, Request, Response, FRAME_MAGIC
 /// How often blocked reads wake to check the stop flag.
 const POLL: Duration = Duration::from_millis(100);
 
-/// How the daemon binds, batches, and times out.
+/// How the daemon binds and times out.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address (`127.0.0.1:0` picks a free port).
     pub addr: String,
-    /// Scoring worker threads per batch (see [`crate::score::parallel_map`]).
-    pub threads: usize,
-    /// Most requests one dispatch batch may drain.
-    pub max_batch: usize,
     /// Which scan kernel answers queries.
     pub kernel: ScanKernel,
     /// Once a frame (or HTTP request) has *started* arriving, how long the
@@ -88,8 +84,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".into(),
-            threads: 1,
-            max_batch: 64,
             kernel: ScanKernel::default(),
             frame_timeout: Duration::from_secs(5),
             watch_sighup: false,
@@ -99,9 +93,10 @@ impl Default for ServeConfig {
 
 /// The serve daemon's TCP front door.
 ///
-/// [`Server::start`] binds the port, starts the [`ServeEngine`]
-/// dispatcher, and spawns the accept loop; the returned [`ServerHandle`]
-/// owns every thread and tears them down in drain order.
+/// [`Server::start`] binds the port, builds the [`ServeEngine`], and
+/// spawns the accept loop, which gives every connection a handler thread
+/// that answers its requests; the returned [`ServerHandle`] owns every
+/// thread and tears them down in drain order.
 pub struct Server;
 
 impl Server {
@@ -125,16 +120,12 @@ impl Server {
             crate::trace::stamp::calibrate();
             o.event_serve_start(
                 &addr.to_string(),
-                config.threads,
-                config.max_batch,
                 &config.kernel.to_string(),
                 model.generation,
                 model.saved.cluster_count() as u32,
             );
         }
-        let engine_handle =
-            ServeEngine::start(model, config.threads, config.max_batch, db, obs.clone());
-        let engine = Arc::clone(engine_handle.engine());
+        let engine = Arc::new(ServeEngine::new(model, db, obs.clone()));
         let stop = Arc::new(AtomicBool::new(false));
 
         let accept = {
@@ -187,21 +178,19 @@ impl Server {
             accept: Some(accept),
             hup,
             engine,
-            engine_handle: Some(engine_handle),
             obs,
         })
     }
 }
 
 /// A running daemon; owns the accept loop, connection handlers (via the
-/// accept loop), the optional signal watcher, and the dispatcher.
+/// accept loop), and the optional signal watcher.
 pub struct ServerHandle {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
     hup: Option<JoinHandle<()>>,
     engine: Arc<ServeEngine>,
-    engine_handle: Option<EngineHandle>,
     obs: Option<Arc<ServeObs>>,
 }
 
@@ -238,8 +227,8 @@ impl ServerHandle {
 
     /// Initiates a graceful stop and drains: no new connections, existing
     /// handlers and connections still in the accept backlog get one grace
-    /// poll to pick up already-sent frames, every queued request is scored
-    /// and answered before the dispatcher exits.
+    /// poll to pick up already-sent frames, and every request a handler
+    /// has read is scored and answered before its handler exits.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
         wake(self.addr);
@@ -247,24 +236,21 @@ impl ServerHandle {
     }
 
     fn finish(&mut self) {
-        // Order matters: connection handlers (joined via the accept
-        // thread) block on engine replies, so the engine must outlive
-        // them; it shuts down last, after the queue can no longer grow.
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
+        // The accept thread joins every connection handler before it
+        // exits, so once it is joined no request is left unanswered.
+        let Some(accept) = self.accept.take() else {
+            return;
+        };
+        let _ = accept.join();
         self.stop.store(true, Ordering::SeqCst);
         if let Some(hup) = self.hup.take() {
             let _ = hup.join();
         }
-        if let Some(engine_handle) = self.engine_handle.take() {
-            engine_handle.shutdown();
-            // The drain is complete: snapshot the registry into the serve
-            // trace (`serve_end`) and make both JSONL streams durable.
-            if let Some(o) = &self.obs {
-                o.event_serve_end();
-                o.sync();
-            }
+        // The drain is complete: snapshot the registry into the serve
+        // trace (`serve_end`) and make both JSONL streams durable.
+        if let Some(o) = &self.obs {
+            o.event_serve_end();
+            o.sync();
         }
     }
 }
@@ -384,16 +370,78 @@ enum Filled {
     TimedOut,
 }
 
-/// The transport-side half of a binary request's timeline: its id, the
-/// accept stage, and where decode began (the queue stages arrive with
-/// [`Scored`], whose enqueue stamp also ends decode). Absent when
-/// observability is off — and with it every clock read on the framing
-/// path.
+/// A traced request's timeline as far as its handler has got: its id and
+/// one stamp per stage boundary crossed. Absent when observability is
+/// off — and with it every clock read on the request path.
 #[derive(Clone, Copy)]
-struct FrameMeta {
+struct Timeline {
     request_id: u64,
-    accept_nanos: u64,
+    transport: &'static str,
+    start: Stamp,
     decode_start: Stamp,
+    scan_start: Stamp,
+}
+
+impl Timeline {
+    /// Starts the timeline of a request whose first byte has arrived.
+    fn begin(obs: Option<&Arc<ServeObs>>, transport: &'static str) -> Option<Self> {
+        obs.map(|o| {
+            let now = Stamp::now();
+            Timeline {
+                request_id: o.next_request_id(),
+                transport,
+                start: now,
+                decode_start: now,
+                scan_start: now,
+            }
+        })
+    }
+
+    /// The request is fully read: accept ends and decode begins.
+    fn decoding(self) -> Self {
+        Timeline {
+            decode_start: Stamp::now(),
+            ..self
+        }
+    }
+
+    /// The request is decoded: decode ends and answering it begins.
+    fn scanning(self) -> Self {
+        Timeline {
+            scan_start: Stamp::now(),
+            ..self
+        }
+    }
+}
+
+/// What a request's record holds besides its id and stage timings.
+struct Outcome {
+    op: ServeOp,
+    seq_len: usize,
+    generation: Option<u64>,
+    error: bool,
+}
+
+impl Outcome {
+    /// The outcome of an opcode answered with `response`.
+    fn of(op: ServeOp, seq_len: usize, response: &Response) -> Self {
+        Outcome {
+            op,
+            seq_len,
+            generation: response.generation(),
+            error: matches!(response, Response::Error { .. }),
+        }
+    }
+
+    /// An opcode that failed before any generation answered it.
+    fn failed(op: ServeOp) -> Self {
+        Outcome {
+            op,
+            seq_len: 0,
+            generation: None,
+            error: true,
+        }
+    }
 }
 
 impl Connection {
@@ -413,7 +461,7 @@ impl Connection {
                 FirstByte::Byte(b) => {
                     // Not frame magic: one HTTP request, then close.
                     let deadline = Instant::now() + self.frame_timeout;
-                    http::handle(&mut stream, b, &self.engine, self.obs.as_ref(), deadline);
+                    http::handle(self, &mut stream, b, deadline);
                     return;
                 }
             }
@@ -470,13 +518,10 @@ impl Connection {
         Filled::Done
     }
 
-    /// Serves one binary frame whose first byte already arrived. Returns
-    /// whether the connection should keep going.
+    /// Serves one binary frame whose first byte already arrived.
+    /// Returns whether the connection should keep going.
     fn serve_frame(&self, stream: &mut TcpStream, first: u8) -> bool {
-        let started = self
-            .obs
-            .as_ref()
-            .map(|o| (o.next_request_id(), Stamp::now()));
+        let timeline = Timeline::begin(self.obs.as_ref(), "binary");
         let deadline = Instant::now() + self.frame_timeout;
         let mut header = [0u8; 8];
         header[0] = first;
@@ -514,12 +559,7 @@ impl Connection {
                 return false;
             }
         }
-        // One stamp ends accept and starts decode.
-        let decode_start = started.map(|_| Stamp::now());
-        let accept_nanos = match (started, decode_start) {
-            (Some((_, t)), Some(d)) => d.nanos_since(t),
-            _ => 0,
-        };
+        let timeline = timeline.map(Timeline::decoding);
         let request = match Request::decode_payload(&payload) {
             Ok(request) => request,
             Err(ProtoError::BadTag(op)) => {
@@ -535,154 +575,104 @@ impl Connection {
                 return true;
             }
         };
-        let meta = started.zip(decode_start).map(|((request_id, _), d)| FrameMeta {
-            request_id,
-            accept_nanos,
-            decode_start: d,
-        });
-        self.dispatch(stream, request, meta)
+        self.dispatch(stream, request, timeline)
     }
 
-    /// Executes one decoded request. Returns whether to keep the
-    /// connection open.
-    fn dispatch(&self, stream: &mut TcpStream, request: Request, meta: Option<FrameMeta>) -> bool {
-        match request {
-            Request::Assign { seq } => {
-                let n = seq.len();
-                self.scored(stream, ServeOp::Assign, Work::Assign(seq), n, meta)
-            }
-            Request::Score { seq } => {
-                let n = seq.len();
-                self.scored(stream, ServeOp::Score, Work::Score(seq), n, meta)
-            }
-            Request::Anomaly { seq, threshold } => {
-                let n = seq.len();
-                self.scored(stream, ServeOp::Anomaly, Work::Anomaly(seq, threshold), n, meta)
-            }
-            Request::Info => {
-                let response = self.engine.current().info();
-                self.finish(stream, ServeOp::Info, Scored::immediate(response), 0, meta)
-            }
-            Request::Swap { path } => match self.engine.swap(Path::new(&path)) {
-                Ok((generation, clusters)) => self.finish(
-                    stream,
-                    ServeOp::Swap,
-                    Scored::immediate(Response::Swapped {
+    /// Answers one decoded request on this thread. Returns whether to keep
+    /// the connection open.
+    fn dispatch(
+        &self,
+        stream: &mut TcpStream,
+        request: Request,
+        timeline: Option<Timeline>,
+    ) -> bool {
+        let timeline = timeline.map(Timeline::scanning);
+        let engine = &self.engine;
+        let (op, seq_len, response) = match request {
+            Request::Assign { seq } => (
+                ServeOp::Assign,
+                seq.len(),
+                engine.answer(&Work::Assign(seq)),
+            ),
+            Request::Score { seq } => (ServeOp::Score, seq.len(), engine.answer(&Work::Score(seq))),
+            Request::Anomaly { seq, threshold } => (
+                ServeOp::Anomaly,
+                seq.len(),
+                engine.answer(&Work::Anomaly(seq, threshold)),
+            ),
+            Request::Info => (ServeOp::Info, 0, engine.current().info()),
+            Request::Swap { path } => (
+                ServeOp::Swap,
+                0,
+                match engine.swap(Path::new(&path)) {
+                    Ok((generation, clusters)) => Response::Swapped {
                         generation,
                         clusters,
-                    }),
-                    0,
-                    meta,
-                ),
-                Err(e) => {
-                    self.finish(
-                        stream,
-                        ServeOp::Swap,
-                        Scored::immediate(Response::Error {
-                            code: errcode::SWAP_FAILED,
-                            message: e,
-                        }),
-                        0,
-                        meta,
-                    );
-                    true
-                }
-            },
-            Request::Shutdown => {
-                let _ = self.finish(
-                    stream,
-                    ServeOp::Shutdown,
-                    Scored::immediate(Response::ShuttingDown),
-                    0,
-                    meta,
-                );
-                self.stop.store(true, Ordering::SeqCst);
-                wake(self.server_addr);
-                false
-            }
-        }
-    }
-
-    /// Queues scoring work and relays the batched answer.
-    fn scored(
-        &self,
-        stream: &mut TcpStream,
-        op: ServeOp,
-        work: Work,
-        seq_len: usize,
-        meta: Option<FrameMeta>,
-    ) -> bool {
-        let scored = self
-            .engine
-            .submit(work)
-            .recv()
-            .unwrap_or_else(|_| Scored::draining());
-        self.finish(stream, op, scored, seq_len, meta)
-    }
-
-    /// Encodes and writes the response; with observability on, counts
-    /// the request before its bytes leave (a client that has read its
-    /// answer must find it in `/metrics`), times both stages, and records
-    /// the request's complete timeline after the write. Returns write
-    /// success (keep the connection).
-    fn finish(
-        &self,
-        stream: &mut TcpStream,
-        op: ServeOp,
-        scored: Scored,
-        seq_len: usize,
-        meta: Option<FrameMeta>,
-    ) -> bool {
-        let Scored {
-            response,
-            enqueued,
-            queue_wait_nanos,
-            batch_form_nanos,
-            scan_nanos,
-        } = scored;
-        match (&self.obs, meta) {
-            (Some(obs), Some(meta)) => {
-                let error = matches!(response, Response::Error { .. });
-                obs.count(self.shard, op, error);
-                let encode_start = Stamp::now();
-                let frame = response.encode_frame();
-                let write_start = Stamp::now();
-                let ok = stream.write_all(&frame).is_ok();
-                let stages = StageNanos {
-                    accept: meta.accept_nanos,
-                    // Queued ops end decode at their enqueue stamp; admin
-                    // ops answer inline, so their decode runs until the
-                    // response was ready to encode.
-                    decode: enqueued
-                        .unwrap_or(encode_start)
-                        .nanos_since(meta.decode_start),
-                    queue_wait: queue_wait_nanos,
-                    batch_form: batch_form_nanos,
-                    scan: scan_nanos,
-                    encode: write_start.nanos_since(encode_start),
-                    write_back: Stamp::now().nanos_since(write_start),
-                };
-                obs.record_buffered(
-                    self.shard,
-                    &mut self.local.borrow_mut(),
-                    &RequestRecord {
-                        request_id: meta.request_id,
-                        op,
-                        transport: "binary",
-                        generation: response.generation(),
-                        seq_len,
-                        error,
-                        stages,
                     },
-                );
-                ok
-            }
-            _ => self.send(stream, &response),
+                    Err(message) => Response::Error {
+                        code: errcode::SWAP_FAILED,
+                        message,
+                    },
+                },
+            ),
+            Request::Shutdown => (ServeOp::Shutdown, 0, Response::ShuttingDown),
+        };
+        let sent = self.reply(
+            stream,
+            Outcome::of(op, seq_len, &response),
+            timeline,
+            || response.encode_frame(),
+        );
+        if op == ServeOp::Shutdown {
+            self.stop.store(true, Ordering::SeqCst);
+            wake(self.server_addr);
+            return false;
         }
+        sent
     }
 
-    fn send(&self, stream: &mut TcpStream, response: &Response) -> bool {
-        stream.write_all(&response.encode_frame()).is_ok()
+    /// Writes one answered request, `encode` producing its bytes. With
+    /// observability on, counts the request before its bytes leave (a
+    /// client that has read its answer must find it in `/metrics`), times
+    /// the encode and write-back stages, and records the complete
+    /// timeline after the write. Returns write success (keep the
+    /// connection).
+    fn reply(
+        &self,
+        stream: &mut TcpStream,
+        outcome: Outcome,
+        timeline: Option<Timeline>,
+        encode: impl FnOnce() -> Vec<u8>,
+    ) -> bool {
+        let (Some(obs), Some(t)) = (&self.obs, timeline) else {
+            return stream.write_all(&encode()).is_ok();
+        };
+        obs.count(self.shard, outcome.op, outcome.error);
+        let encode_start = Stamp::now();
+        let bytes = encode();
+        let write_start = Stamp::now();
+        let ok = stream.write_all(&bytes).is_ok();
+        let stages = StageNanos {
+            accept: t.decode_start.nanos_since(t.start),
+            decode: t.scan_start.nanos_since(t.decode_start),
+            scan: encode_start.nanos_since(t.scan_start),
+            encode: write_start.nanos_since(encode_start),
+            write_back: Stamp::now().nanos_since(write_start),
+        };
+        obs.record_buffered(
+            self.shard,
+            &mut self.local.borrow_mut(),
+            &RequestRecord {
+                request_id: t.request_id,
+                op: outcome.op,
+                transport: t.transport,
+                generation: outcome.generation,
+                seq_len: outcome.seq_len,
+                error: outcome.error,
+                stages,
+            },
+        );
+        ok
     }
 
     /// A protocol-level failure (framing, timeout, bad opcode): the
@@ -692,13 +682,11 @@ impl Connection {
         if let Some(o) = &self.obs {
             o.record_meta(true);
         }
-        let _ = self.send(
-            stream,
-            &Response::Error {
-                code,
-                message: message.into(),
-            },
-        );
+        let response = Response::Error {
+            code,
+            message: message.into(),
+        };
+        let _ = stream.write_all(&response.encode_frame());
     }
 }
 

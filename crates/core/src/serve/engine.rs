@@ -1,52 +1,36 @@
-//! The batching dispatcher: concurrent requests in, deterministic
-//! batched scoring out.
+//! The serving core: the live model slot every connection handler
+//! answers from.
 //!
 //! # Design
 //!
-//! Connection handlers enqueue [`Work`] items into a single mutex-guarded
-//! queue and block on a per-job reply channel. One dispatcher thread
-//! drains the queue in arrival order, up to `max_batch` jobs at a time,
-//! pins the live model `Arc` **once per batch**, and evaluates the batch
-//! through [`parallel_map`] — the same contiguous-chunk deterministic map
-//! the offline scan uses. Each job's answer is therefore the exact bytes
-//! a single-request server would produce: scoring is a pure function of
-//! (model generation, query), and batching only changes *when* it runs,
-//! never *what* it computes.
-//!
-//! # Observability
-//!
-//! When an observability bundle is attached, every reply travels back as
-//! a [`Scored`] carrying the dispatcher-side stage timings — queue wait
-//! (enqueue → drained), batch formation (drained → scan start), and the
-//! scan itself — so the connection handler that owns the request can
-//! record its full timeline in one place. The dispatcher also maintains
-//! the queue-depth and in-flight gauges and observes the per-batch job
-//! count; per-request counting happens in the handlers, never here, so
-//! each request is counted exactly once.
+//! Scoring a query against a frozen generation is a pure function of
+//! (model generation, query), so concurrent requests need no coordination
+//! beyond pinning one generation each. A connection handler decodes a
+//! request, calls [`ServeEngine::answer`] on its own thread — which pins
+//! the live model `Arc` for that one query — and writes the response.
+//! Every answer is the exact bytes offline scoring produces, whatever the
+//! number of concurrent connections.
 //!
 //! # Hot swap
 //!
 //! [`ServeEngine::swap`] builds the replacement generation entirely
 //! outside the model lock, then installs it with a single `RwLock` write.
-//! Batches already holding the old `Arc` finish against the old
-//! generation; the next batch pins the new one. No request is ever
+//! Requests already holding the old `Arc` finish against the old
+//! generation; the next request pins the new one. No request is ever
 //! dropped or scored against a half-installed model, and every response
 //! carries the generation that actually scored it. A failed load leaves
 //! the old generation serving untouched.
 
-use std::collections::VecDeque;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 
 use cluseq_seq::{SequenceStore, Symbol};
 
-use crate::score::parallel_map;
 use crate::serve::model::ServeModel;
 use crate::serve::obs::ServeObs;
-use crate::serve::protocol::{errcode, Response};
-use crate::trace::stamp::Stamp;
-use crate::trace::{Counter, Gauge, HistKind};
+use crate::serve::protocol::Response;
+use crate::trace::{Counter, Gauge};
 
 /// One scoring query, decoded and validated off the wire.
 #[derive(Debug, Clone)]
@@ -59,70 +43,13 @@ pub enum Work {
     Anomaly(Vec<Symbol>, Option<f64>),
 }
 
-/// A batched answer plus the dispatcher-side stage timings (all zero when
-/// the engine runs without observability, or when the queue was already
-/// closed).
-#[derive(Debug)]
-pub struct Scored {
-    /// The response the batch produced for this job.
-    pub response: Response,
-    /// When the job entered the queue — the transport handler reads it
-    /// as the end of its decode stage, so the decode/queue seam costs no
-    /// extra clock read. `None` for responses that never queued.
-    pub enqueued: Option<Stamp>,
-    /// Enqueue until the dispatcher drained the job into a batch.
-    pub queue_wait_nanos: u64,
-    /// Batch drain until batch scoring began (model pinning).
-    pub batch_form_nanos: u64,
-    /// The batched scoring pass this job rode in.
-    pub scan_nanos: u64,
-}
-
-impl Scored {
-    /// Wraps a response produced outside the queue (admin opcodes):
-    /// queue-stage timings are zero by definition.
-    pub fn immediate(response: Response) -> Self {
-        Scored {
-            response,
-            enqueued: None,
-            queue_wait_nanos: 0,
-            batch_form_nanos: 0,
-            scan_nanos: 0,
-        }
-    }
-
-    /// The immediate answer for work submitted after the queue closed.
-    pub fn draining() -> Self {
-        Scored::immediate(Response::Error {
-            code: errcode::SHUTTING_DOWN,
-            message: "server is draining".into(),
-        })
-    }
-}
-
-struct Job {
-    work: Work,
-    enqueued: Stamp,
-    reply: mpsc::Sender<Scored>,
-}
-
-#[derive(Default)]
-struct QueueState {
-    jobs: VecDeque<Job>,
-    shutdown: bool,
-}
-
-/// The serving core: live model slot, request queue, dispatcher thread.
+/// The serving core: the live model slot and what swaps it.
 pub struct ServeEngine {
     model: RwLock<Arc<ServeModel>>,
-    queue: Mutex<QueueState>,
-    ready: Condvar,
     /// Serializes swaps so two concurrent SWAPs cannot both load against
     /// the same predecessor generation.
     swap_gate: Mutex<()>,
     next_generation: AtomicU64,
-    threads: usize,
-    max_batch: usize,
     db: Option<Box<dyn SequenceStore + Send>>,
     obs: Option<Arc<ServeObs>>,
 }
@@ -131,87 +58,33 @@ impl std::fmt::Debug for ServeEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServeEngine")
             .field("generation", &self.generation())
-            .field("threads", &self.threads)
-            .field("max_batch", &self.max_batch)
             .finish_non_exhaustive()
     }
 }
 
-/// Joins the dispatcher thread when the engine shuts down; returned by
-/// [`ServeEngine::start`] so the owner controls teardown order.
-pub struct EngineHandle {
-    engine: Arc<ServeEngine>,
-    dispatcher: Option<std::thread::JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for EngineHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EngineHandle").finish_non_exhaustive()
-    }
-}
-
-impl EngineHandle {
-    /// The engine this handle owns the dispatcher of.
-    pub fn engine(&self) -> &Arc<ServeEngine> {
-        &self.engine
-    }
-
-    /// Marks the queue closed and joins the dispatcher. The dispatcher
-    /// only exits once the queue is *empty*, so every job submitted
-    /// before this call still receives its real scored answer — this is
-    /// the drain half of the zero-drop guarantee.
-    pub fn shutdown(mut self) {
-        self.engine.close_queue();
-        if let Some(handle) = self.dispatcher.take() {
-            handle.join().expect("serve dispatcher panicked");
-        }
-    }
-}
-
 impl ServeEngine {
-    /// Builds an engine around an initial model and starts its dispatcher.
+    /// Builds an engine around an initial model.
     ///
     /// `db` is retained for hot-swapping to CCKP checkpoints (which need
     /// the training corpus to re-derive the background model); swaps to
     /// CSEQ snapshots work without it. Any [`SequenceStore`] serves — a
     /// file-backed store keeps the daemon's footprint bounded by the
     /// model, not the corpus.
-    ///
-    /// `threads` is clamped to the host's available parallelism: scoring
-    /// is CPU-bound, so fanning out past the core count only adds spawn
-    /// and scheduling overhead. [`parallel_map`] produces bit-identical
-    /// output at every thread count, so the clamp never changes answers.
-    pub fn start(
+    pub fn new(
         initial: ServeModel,
-        threads: usize,
-        max_batch: usize,
         db: Option<Box<dyn SequenceStore + Send>>,
         obs: Option<Arc<ServeObs>>,
-    ) -> EngineHandle {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    ) -> Self {
         let generation = initial.generation;
-        let engine = Arc::new(ServeEngine {
-            model: RwLock::new(Arc::new(initial)),
-            queue: Mutex::new(QueueState::default()),
-            ready: Condvar::new(),
-            swap_gate: Mutex::new(()),
-            next_generation: AtomicU64::new(generation + 1),
-            threads: threads.clamp(1, cores),
-            max_batch: max_batch.max(1),
-            db,
-            obs,
-        });
-        if let Some(o) = &engine.obs {
+        if let Some(o) = &obs {
             o.registry().gauge_set(Gauge::ServeGeneration, generation);
         }
-        let worker = Arc::clone(&engine);
-        let dispatcher = std::thread::Builder::new()
-            .name("serve-dispatch".into())
-            .spawn(move || worker.dispatch_loop())
-            .expect("spawn serve dispatcher");
-        EngineHandle {
-            engine,
-            dispatcher: Some(dispatcher),
+        ServeEngine {
+            model: RwLock::new(Arc::new(initial)),
+            swap_gate: Mutex::new(()),
+            next_generation: AtomicU64::new(generation + 1),
+            db,
+            obs,
         }
     }
 
@@ -220,49 +93,20 @@ impl ServeEngine {
         self.model.read().expect("model lock poisoned").generation
     }
 
-    /// A pinned handle to the live model (INFO queries bypass the queue).
+    /// A pinned handle to the live model.
     pub fn current(&self) -> Arc<ServeModel> {
         Arc::clone(&self.model.read().expect("model lock poisoned"))
     }
 
-    /// Whether the engine still accepts work: the readiness probe.
-    /// `false` once the queue has closed — the daemon is draining.
-    pub fn is_ready(&self) -> bool {
-        !self.queue.lock().expect("queue lock poisoned").shutdown
-    }
-
-    /// Enqueues one query. The returned receiver yields exactly one
-    /// [`Scored`] — immediately a shutting-down error if the queue has
-    /// already closed, otherwise the batched scoring answer with its
-    /// dispatcher timings.
-    pub fn submit(&self, work: Work) -> mpsc::Receiver<Scored> {
-        let (tx, rx) = mpsc::channel();
-        // Stamped before the queue lock: time spent waiting for the lock
-        // is queue time, not decode time.
-        let enqueued = Stamp::now();
-        let mut q = self.queue.lock().expect("queue lock poisoned");
-        if q.shutdown {
-            drop(q);
-            let _ = tx.send(Scored::draining());
-            return rx;
+    /// Answers one scoring query on the calling thread, against the
+    /// generation live when the call pins it.
+    pub fn answer(&self, work: &Work) -> Response {
+        let model = self.current();
+        match work {
+            Work::Assign(seq) => model.assign(seq),
+            Work::Score(seq) => model.score(seq),
+            Work::Anomaly(seq, threshold) => model.anomaly(seq, *threshold),
         }
-        q.jobs.push_back(Job {
-            work,
-            enqueued,
-            reply: tx,
-        });
-        // The depth gauge is last-write-wins, so every write happens
-        // under the queue lock (here and in the dispatcher's drain) —
-        // writes then serialize in queue order and the final value always
-        // matches the final queue state.
-        if let Some(o) = &self.obs {
-            let t = o.registry();
-            t.gauge_set(Gauge::ServeQueueDepth, q.jobs.len() as u64);
-            t.gauge_add(Gauge::ServeInFlight, 1);
-        }
-        drop(q);
-        self.ready.notify_one();
-        rx
     }
 
     /// Atomically replaces the live model with the one at `path`,
@@ -296,84 +140,5 @@ impl ServeEngine {
     pub fn reload(&self) -> Result<(u64, u32), String> {
         let source = self.current().source.clone();
         self.swap(&source)
-    }
-
-    fn close_queue(&self) {
-        let mut q = self.queue.lock().expect("queue lock poisoned");
-        q.shutdown = true;
-        drop(q);
-        self.ready.notify_all();
-    }
-
-    fn dispatch_loop(&self) {
-        loop {
-            let batch: Vec<Job> = {
-                let mut q = self.queue.lock().expect("queue lock poisoned");
-                loop {
-                    if !q.jobs.is_empty() {
-                        let n = q.jobs.len().min(self.max_batch);
-                        let batch: Vec<Job> = q.jobs.drain(..n).collect();
-                        if let Some(o) = &self.obs {
-                            o.registry()
-                                .gauge_set(Gauge::ServeQueueDepth, q.jobs.len() as u64);
-                        }
-                        break batch;
-                    }
-                    if q.shutdown {
-                        return;
-                    }
-                    q = self.ready.wait(q).expect("queue lock poisoned");
-                }
-            };
-            // Stage stamps are only taken when someone will read them:
-            // untraced serving pays zero clock reads here.
-            let drained_at = self.obs.as_ref().map(|_| Stamp::now());
-            // Pin the model once: every job in this batch is answered by
-            // the same generation, and a concurrent swap cannot free it
-            // out from under the workers.
-            let model = self.current();
-            let scan_start = self.obs.as_ref().map(|_| Stamp::now());
-            let responses = parallel_map(batch.len(), self.threads, |i| match &batch[i].work {
-                Work::Assign(seq) => model.assign(seq),
-                Work::Score(seq) => model.score(seq),
-                Work::Anomaly(seq, threshold) => model.anomaly(seq, *threshold),
-            });
-            let scan_end = scan_start.map(|_| Stamp::now());
-            let scan_nanos = match (scan_start, scan_end) {
-                (Some(s), Some(e)) => e.nanos_since(s),
-                _ => 0,
-            };
-            let batch_form_nanos = match (drained_at, scan_start) {
-                (Some(d), Some(s)) => s.nanos_since(d),
-                _ => 0,
-            };
-            // Replies go out before any registry bookkeeping: a blocked
-            // connection handler wakes as early as possible (on one core
-            // it may still be inside its recv spin-wait), and the metrics
-            // writes below happen while the handlers are busy encoding.
-            let batch_len = batch.len();
-            for (job, response) in batch.into_iter().zip(responses) {
-                let queue_wait_nanos = drained_at.map_or(0, |d| d.nanos_since(job.enqueued));
-                // A vanished client (dropped receiver) is not an error.
-                // The whole-lifetime `serve_request` histogram is fed by
-                // the handler's `record` from these stage values.
-                let _ = job.reply.send(Scored {
-                    response,
-                    enqueued: Some(job.enqueued),
-                    queue_wait_nanos,
-                    batch_form_nanos,
-                    scan_nanos,
-                });
-            }
-            if let Some(o) = &self.obs {
-                let t = o.registry();
-                t.add(Counter::ServeBatches, 1);
-                // Jobs-per-batch rides the nanosecond histogram machinery
-                // in "micro-jobs": n jobs stored as n·1000 so bucket b
-                // covers [2^(b-1), 2^b) jobs; the exporter divides back.
-                t.observe(HistKind::ServeBatchJobs, 0, batch_len as u64 * 1000);
-                t.gauge_add(Gauge::ServeInFlight, -(batch_len as i64));
-            }
-        }
     }
 }

@@ -2,10 +2,11 @@
 //!
 //! Any connection whose first byte is not the binary frame magic is
 //! treated as one HTTP request (answered with `Connection: close`).
-//! Queries go through the same [`ServeEngine`] queue as binary clients,
-//! so an HTTP `POST /assign` is batched, generation-stamped, and
-//! bit-identical to its binary twin — the facade only translates
-//! encodings.
+//! Queries are answered by the same
+//! [`ServeEngine::answer`](crate::serve::engine::ServeEngine::answer) as
+//! binary clients, on the connection's own handler thread, so an HTTP
+//! `POST /assign` is generation-stamped and bit-identical to its binary
+//! twin — the facade only translates encodings.
 //!
 //! Sequences are accepted in two spellings: whitespace/comma-separated
 //! numeric symbol ids (`"0 1 0 1"`), or one character per symbol using
@@ -15,15 +16,16 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 use cluseq_seq::Symbol;
 
-use crate::serve::engine::{Scored, ServeEngine, Work};
-use crate::serve::obs::{RequestRecord, ServeObs, ServeOp, StageNanos};
+use crate::serve::engine::Work;
+use crate::serve::obs::ServeOp;
 use crate::serve::protocol::{errcode, Response};
-use crate::trace::{self, exporter};
+use crate::serve::{Connection, Outcome, Timeline};
+use crate::trace::exporter;
 
 /// The CLI's single-character alphabet order (`single_char_recode`):
 /// index in this string = symbol id.
@@ -32,41 +34,20 @@ const CHARS: &str = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456
 const MAX_HEAD: usize = 16 * 1024;
 const MAX_BODY: usize = 1024 * 1024;
 
-/// The transport-side half of an HTTP request's timeline: its id plus the
-/// accept stage (head + body read). Absent when observability is off.
-#[derive(Clone, Copy)]
-struct HttpMeta {
-    request_id: u64,
-    accept_nanos: u64,
-}
-
-/// Serves one HTTP request on `stream`; `first` is the already-consumed
-/// first byte. The whole request must arrive before `deadline`.
-pub(crate) fn handle(
-    stream: &mut TcpStream,
-    first: u8,
-    engine: &Arc<ServeEngine>,
-    obs: Option<&Arc<ServeObs>>,
-    deadline: Instant,
-) {
-    let started = obs.map(|o| (o.next_request_id(), Instant::now()));
-    let meta_error = |message: &str| {
-        if let Some(o) = obs {
-            o.record_meta(true);
-        }
-        let _ = message;
-    };
+/// Serves one HTTP request on `stream` for `conn`; `first` is the
+/// already-consumed first byte. The whole request must arrive before
+/// `deadline`.
+pub(super) fn handle(conn: &Connection, stream: &mut TcpStream, first: u8, deadline: Instant) {
+    let timeline = Timeline::begin(conn.obs.as_ref(), "http");
     let mut head = vec![first];
     if !read_head(stream, &mut head, deadline) {
-        respond(stream, 408, "text/plain", "request head timed out\n");
-        meta_error("head timeout");
+        respond_meta(conn, stream, 408, "request head timed out\n", true);
         return;
     }
     let head_end = match head.windows(4).position(|w| w == b"\r\n\r\n") {
         Some(at) => at + 4,
         None => {
-            respond(stream, 400, "text/plain", "malformed request head\n");
-            meta_error("malformed head");
+            respond_meta(conn, stream, 400, "malformed request head\n", true);
             return;
         }
     };
@@ -74,8 +55,7 @@ pub(crate) fn handle(
     let head_text = match std::str::from_utf8(&head) {
         Ok(s) => s,
         Err(_) => {
-            respond(stream, 400, "text/plain", "request head is not UTF-8\n");
-            meta_error("non-utf8 head");
+            respond_meta(conn, stream, 400, "request head is not UTF-8\n", true);
             return;
         }
     };
@@ -85,8 +65,7 @@ pub(crate) fn handle(
     let (method, target) = match (parts.next(), parts.next()) {
         (Some(m), Some(t)) => (m, t),
         _ => {
-            respond(stream, 400, "text/plain", "malformed request line\n");
-            meta_error("malformed request line");
+            respond_meta(conn, stream, 400, "malformed request line\n", true);
             return;
         }
     };
@@ -96,15 +75,13 @@ pub(crate) fn handle(
         .and_then(|(_, v)| v.trim().parse::<usize>().ok())
         .unwrap_or(0);
     if content_length > MAX_BODY {
-        respond(stream, 413, "text/plain", "body too large\n");
-        meta_error("oversized body");
+        respond_meta(conn, stream, 413, "body too large\n", true);
         return;
     }
     while body.len() < content_length {
         let mut chunk = [0u8; 4096];
         if Instant::now() >= deadline {
-            respond(stream, 408, "text/plain", "request body timed out\n");
-            meta_error("body timeout");
+            respond_meta(conn, stream, 408, "request body timed out\n", true);
             return;
         }
         match stream.read(&mut chunk) {
@@ -126,68 +103,56 @@ pub(crate) fn handle(
         Some((p, q)) => (p, q),
         None => (target, ""),
     };
-    let meta = started.map(|(request_id, t)| HttpMeta {
-        request_id,
-        accept_nanos: trace::nanos_since(t),
-    });
-    route(stream, method, path, query, &body, engine, obs, meta);
+    let timeline = timeline.map(Timeline::decoding);
+    route(conn, stream, method, path, query, &body, timeline);
 }
 
-/// Dispatches one parsed request and records its outcome: scoring and
-/// admin endpoints get a full per-opcode request record, facade meta
-/// endpoints (`/metrics`, `/healthz`, `/readyz`, unknown paths) feed only
-/// the aggregate counters.
-#[allow(clippy::too_many_arguments)]
+/// Dispatches one parsed request: opcode endpoints are answered and
+/// recorded like binary requests, facade meta endpoints (`/metrics`,
+/// `/healthz`, `/readyz`, unknown paths) feed only the aggregate
+/// counters.
 fn route(
+    conn: &Connection,
     stream: &mut TcpStream,
     method: &str,
     path: &str,
     query: &str,
     body: &[u8],
-    engine: &Arc<ServeEngine>,
-    obs: Option<&Arc<ServeObs>>,
-    meta: Option<HttpMeta>,
+    timeline: Option<Timeline>,
 ) {
-    let record_meta = |error: bool| {
-        if let Some(o) = obs {
-            o.record_meta(error);
-        }
-    };
     match (method, path) {
         ("GET", "/info") => {
-            let response = engine.current().info();
-            finish(stream, obs, meta, ServeOp::Info, Scored::immediate(response), 0, 0);
+            let timeline = timeline.map(Timeline::scanning);
+            let response = conn.engine.current().info();
+            reply_json(conn, stream, ServeOp::Info, 0, &response, timeline);
         }
         ("GET", "/healthz") => {
             // Liveness: the accept loop handed us this request, so the
             // process is alive by construction.
-            respond(stream, 200, "text/plain", "ok\n");
-            record_meta(false);
+            respond_meta(conn, stream, 200, "ok\n", false);
         }
         ("GET", "/readyz") => {
             // Readiness: a model generation is loaded by construction
-            // (the daemon cannot start without one); the queue still
-            // accepting work is the live half of the probe.
-            if engine.is_ready() {
-                respond(stream, 200, "text/plain", "ready\n");
+            // (the daemon cannot start without one); the live half of the
+            // probe is the stop flag the accept loop drains on.
+            if conn.stop.load(Ordering::SeqCst) {
+                respond_meta(conn, stream, 503, "draining\n", false);
             } else {
-                respond(stream, 503, "text/plain", "draining\n");
+                respond_meta(conn, stream, 200, "ready\n", false);
             }
-            record_meta(false);
         }
-        ("GET", "/metrics") => match obs {
+        ("GET", "/metrics") => match &conn.obs {
             Some(o) => {
+                let page = exporter::render(o.registry());
+                o.record_meta(false);
                 respond(
                     stream,
                     200,
                     "text/plain; version=0.0.4; charset=utf-8",
-                    &exporter::render(o.registry()),
+                    &page,
                 );
-                record_meta(false);
             }
-            None => {
-                respond(stream, 404, "text/plain", "tracing is not enabled\n");
-            }
+            None => respond(stream, 404, "text/plain", "tracing is not enabled\n"),
         },
         ("POST", "/assign") | ("POST", "/score") | ("POST", "/anomaly") => {
             let op = match path {
@@ -195,151 +160,86 @@ fn route(
                 "/score" => ServeOp::Score,
                 _ => ServeOp::Anomaly,
             };
-            let decode_start = meta.map(|_| Instant::now());
-            let seq = match parse_sequence(body) {
-                Ok(seq) => seq,
-                Err(e) => {
-                    respond(stream, 400, "text/plain", &format!("{e}\n"));
-                    record_op_error(obs, meta, op, decode_start.map_or(0, trace::nanos_since));
-                    return;
-                }
-            };
-            let work = match op {
-                ServeOp::Assign => Work::Assign(seq),
-                ServeOp::Score => Work::Score(seq),
-                _ => {
-                    let threshold = match query_threshold(query) {
-                        Ok(t) => t,
-                        Err(e) => {
-                            respond(stream, 400, "text/plain", &format!("{e}\n"));
-                            record_op_error(
-                                obs,
-                                meta,
-                                op,
-                                decode_start.map_or(0, trace::nanos_since),
-                            );
-                            return;
-                        }
+            let work = parse_work(op, body, query);
+            let timeline = timeline.map(Timeline::scanning);
+            match work {
+                Ok(work) => {
+                    let seq_len = match &work {
+                        Work::Assign(s) | Work::Score(s) | Work::Anomaly(s, _) => s.len(),
                     };
-                    Work::Anomaly(seq, threshold)
-                }
-            };
-            let seq_len = match &work {
-                Work::Assign(s) | Work::Score(s) | Work::Anomaly(s, _) => s.len(),
-            };
-            let decode_nanos = decode_start.map_or(0, trace::nanos_since);
-            let scored = engine
-                .submit(work)
-                .recv()
-                .unwrap_or_else(|_| Scored::draining());
-            finish(stream, obs, meta, op, scored, seq_len, decode_nanos);
-        }
-        ("POST", "/swap") => {
-            let path_text = String::from_utf8_lossy(body).trim().to_string();
-            match engine.swap(Path::new(&path_text)) {
-                Ok((generation, clusters)) => {
-                    finish(
-                        stream,
-                        obs,
-                        meta,
-                        ServeOp::Swap,
-                        Scored::immediate(Response::Swapped {
-                            generation,
-                            clusters,
-                        }),
-                        0,
-                        0,
-                    );
+                    let response = conn.engine.answer(&work);
+                    reply_json(conn, stream, op, seq_len, &response, timeline);
                 }
                 Err(e) => {
-                    respond(stream, 409, "text/plain", &format!("swap failed: {e}\n"));
-                    record_op_error(obs, meta, ServeOp::Swap, 0);
+                    conn.reply(stream, Outcome::failed(op), timeline, || {
+                        http_bytes(400, "text/plain", &format!("{e}\n"))
+                    });
                 }
             }
         }
-        _ => {
-            respond(
-                stream,
-                404,
-                "text/plain",
-                "endpoints: GET /info /metrics /healthz /readyz, \
-                 POST /assign /score /anomaly /swap\n",
-            );
-            record_meta(true);
+        ("POST", "/swap") => {
+            let path_text = String::from_utf8_lossy(body).trim().to_string();
+            let timeline = timeline.map(Timeline::scanning);
+            match conn.engine.swap(Path::new(&path_text)) {
+                Ok((generation, clusters)) => {
+                    let response = Response::Swapped {
+                        generation,
+                        clusters,
+                    };
+                    reply_json(conn, stream, ServeOp::Swap, 0, &response, timeline);
+                }
+                Err(e) => {
+                    conn.reply(stream, Outcome::failed(ServeOp::Swap), timeline, || {
+                        http_bytes(409, "text/plain", &format!("swap failed: {e}\n"))
+                    });
+                }
+            }
         }
+        _ => respond_meta(
+            conn,
+            stream,
+            404,
+            "endpoints: GET /info /metrics /healthz /readyz, \
+             POST /assign /score /anomaly /swap\n",
+            true,
+        ),
     }
 }
 
-/// Encodes and writes the JSON answer; with observability on, times the
-/// encode and write-back stages and records the full request timeline.
-fn finish(
+/// Decodes a scoring endpoint's body (and, for `/anomaly`, its
+/// `?threshold=` query) into the engine's query.
+fn parse_work(op: ServeOp, body: &[u8], query: &str) -> Result<Work, String> {
+    let seq = parse_sequence(body)?;
+    Ok(match op {
+        ServeOp::Assign => Work::Assign(seq),
+        ServeOp::Score => Work::Score(seq),
+        _ => Work::Anomaly(seq, query_threshold(query)?),
+    })
+}
+
+/// Writes an opcode's JSON answer through the connection's reply path.
+fn reply_json(
+    conn: &Connection,
     stream: &mut TcpStream,
-    obs: Option<&Arc<ServeObs>>,
-    meta: Option<HttpMeta>,
     op: ServeOp,
-    scored: Scored,
     seq_len: usize,
-    decode_nanos: u64,
+    response: &Response,
+    timeline: Option<Timeline>,
 ) {
-    let Scored {
-        response,
-        enqueued: _,
-        queue_wait_nanos,
-        batch_form_nanos,
-        scan_nanos,
-    } = scored;
-    match (obs, meta) {
-        (Some(obs), Some(meta)) => {
-            let encode_start = Instant::now();
-            let (status, body) = to_json(&response);
-            let write_start = Instant::now();
-            respond(stream, status, "application/json", &body);
-            let stages = StageNanos {
-                accept: meta.accept_nanos,
-                decode: decode_nanos,
-                queue_wait: queue_wait_nanos,
-                batch_form: batch_form_nanos,
-                scan: scan_nanos,
-                encode: trace::saturating_nanos(write_start.duration_since(encode_start)),
-                write_back: trace::nanos_since(write_start),
-            };
-            obs.record(&RequestRecord {
-                request_id: meta.request_id,
-                op,
-                transport: "http",
-                generation: response.generation(),
-                seq_len,
-                error: matches!(response, Response::Error { .. }),
-                stages,
-            });
-        }
-        _ => send_response(stream, &response),
-    }
+    conn.reply(stream, Outcome::of(op, seq_len, response), timeline, || {
+        let (status, body) = to_json(response);
+        http_bytes(status, "application/json", &body)
+    });
 }
 
-/// Records a request that failed before reaching the queue but whose
-/// opcode is known from the path (parse errors, failed swaps).
-fn record_op_error(
-    obs: Option<&Arc<ServeObs>>,
-    meta: Option<HttpMeta>,
-    op: ServeOp,
-    decode_nanos: u64,
-) {
-    if let (Some(obs), Some(meta)) = (obs, meta) {
-        obs.record(&RequestRecord {
-            request_id: meta.request_id,
-            op,
-            transport: "http",
-            generation: None,
-            seq_len: 0,
-            error: true,
-            stages: StageNanos {
-                accept: meta.accept_nanos,
-                decode: decode_nanos,
-                ..Default::default()
-            },
-        });
+/// Answers a request that never reached an opcode — a facade meta
+/// endpoint or a malformed request — counting it in the aggregate totals
+/// before its bytes leave.
+fn respond_meta(conn: &Connection, stream: &mut TcpStream, status: u16, body: &str, error: bool) {
+    if let Some(o) = &conn.obs {
+        o.record_meta(error);
     }
+    respond(stream, status, "text/plain", body);
 }
 
 fn read_head(stream: &mut TcpStream, head: &mut Vec<u8>, deadline: Instant) -> bool {
@@ -516,12 +416,12 @@ fn to_json(response: &Response) -> (u16, String) {
     }
 }
 
-fn send_response(stream: &mut TcpStream, response: &Response) {
-    let (status, body) = to_json(response);
-    respond(stream, status, "application/json", &body);
+fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &str) {
+    let _ = stream.write_all(&http_bytes(status, content_type, body));
 }
 
-fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &str) {
+/// One complete `Connection: close` response: status line, headers, body.
+fn http_bytes(status: u16, content_type: &str, body: &str) -> Vec<u8> {
     let reason = match status {
         200 => "OK",
         400 => "Bad Request",
@@ -532,14 +432,14 @@ fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &str) 
         503 => "Service Unavailable",
         _ => "Error",
     };
-    let head = format!(
+    let mut bytes = format!(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\n\
          Content-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
-    );
-    let _ = stream.write_all(head.as_bytes());
-    let _ = stream.write_all(body.as_bytes());
-    let _ = stream.flush();
+    )
+    .into_bytes();
+    bytes.extend_from_slice(body.as_bytes());
+    bytes
 }
 
 #[cfg(test)]

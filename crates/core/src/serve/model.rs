@@ -1,9 +1,9 @@
 //! The frozen, generation-stamped model a serve daemon answers from.
 //!
 //! A [`ServeModel`] is immutable once built — queries borrow it through an
-//! `Arc` pinned for the duration of one scoring batch, which is the whole
+//! `Arc` pinned for the duration of one request, which is the whole
 //! hot-swap story: installing a new generation is a pointer swap, and
-//! every in-flight batch keeps scoring against the generation it pinned.
+//! every in-flight request keeps scoring against the generation it pinned.
 
 use std::fs::File;
 use std::io::{BufReader, Read, Seek, SeekFrom};

@@ -2,8 +2,8 @@
 //! timelines, per-opcode counters and latency histograms, the crash-safe
 //! slow-request log, and the serve JSONL trace stream.
 //!
-//! One [`ServeObs`] bundle is shared by the accept loop, every connection
-//! handler, and the dispatcher. All hot-path state lives in the sharded
+//! One [`ServeObs`] bundle is shared by the accept loop and every
+//! connection handler. All hot-path state lives in the sharded
 //! [`TraceShared`] registry (relaxed atomics, no locks), so recording a
 //! request never blocks another; the two JSONL sinks (slow log and serve
 //! trace) are mutex-guarded but off the common path — the slow log is
@@ -13,28 +13,26 @@
 //! # Request lifecycle
 //!
 //! Every accepted request is assigned a process-unique id and timed
-//! through seven stages:
+//! through five stages, all on the connection handler thread that owns
+//! it (binary framing or the HTTP facade):
 //!
 //! ```text
-//! accept → decode → queue_wait → batch_form → scan → encode → write_back
+//! accept → decode → scan → encode → write_back
 //! ```
 //!
-//! `accept`/`decode`/`encode`/`write_back` are measured by the transport
-//! handler (binary framing or the HTTP facade); `queue_wait`,
-//! `batch_form`, and `scan` are stamped by the dispatcher and travel back
-//! with the response. Admin opcodes (INFO, SWAP, SHUTDOWN) never enter
-//! the queue, so their queue stages are zero and they are excluded from
-//! the queue-stage histograms.
+//! One stamp closes each stage and opens the next. `scan` is answering
+//! the request: scoring for ASSIGN/SCORE/ANOMALY, the INFO snapshot, the
+//! SWAP load, or nothing for SHUTDOWN.
 //!
 //! # Determinism
 //!
 //! Counter totals (per-opcode and aggregate) and histogram *observation
-//! counts* are bit-identical across `--threads` for the same request
-//! sequence — every completed request is recorded exactly once, from the
-//! one handler that owns it. Bucket placement is wall-clock and therefore
-//! not part of the contract; nor is [`Counter::ServeSlow`], which depends
-//! on measured latency. `tests/serve_obs.rs` enforces the deterministic
-//! half.
+//! counts* are bit-identical however the same requests are spread over
+//! concurrent connections — every completed request is recorded exactly
+//! once, from the one handler that owns it. Bucket placement is
+//! wall-clock and therefore not part of the contract; nor is
+//! [`Counter::ServeSlow`], which depends on measured latency.
+//! `tests/serve_obs.rs` enforces the deterministic half.
 
 use std::io;
 use std::path::PathBuf;
@@ -109,16 +107,9 @@ impl ServeOp {
             ServeOp::Info | ServeOp::Swap | ServeOp::Shutdown => HistKind::ServeAdmin,
         }
     }
-
-    /// Whether this opcode goes through the dispatcher queue (and hence
-    /// has meaningful queue/batch/scan stages).
-    pub fn is_queued(self) -> bool {
-        matches!(self, ServeOp::Assign | ServeOp::Score | ServeOp::Anomaly)
-    }
 }
 
-/// One request's per-stage wall time, nanoseconds. Stages a request never
-/// entered stay zero.
+/// One request's per-stage wall time, nanoseconds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageNanos {
     /// Reading the rest of the request off the socket after its first
@@ -126,11 +117,7 @@ pub struct StageNanos {
     pub accept: u64,
     /// Decoding and validating the payload.
     pub decode: u64,
-    /// Enqueue until the dispatcher drained the job into a batch.
-    pub queue_wait: u64,
-    /// Batch drain until batch scoring began.
-    pub batch_form: u64,
-    /// The batched scoring pass.
+    /// Answering the request against the pinned model generation.
     pub scan: u64,
     /// Encoding the response.
     pub encode: u64,
@@ -143,20 +130,16 @@ impl StageNanos {
     pub fn total(&self) -> u64 {
         self.accept
             .saturating_add(self.decode)
-            .saturating_add(self.queue_wait)
-            .saturating_add(self.batch_form)
             .saturating_add(self.scan)
             .saturating_add(self.encode)
             .saturating_add(self.write_back)
     }
 
     /// `(name, nanos)` pairs in lifecycle order.
-    pub fn named(&self) -> [(&'static str, u64); 7] {
+    pub fn named(&self) -> [(&'static str, u64); 5] {
         [
             ("accept", self.accept),
             ("decode", self.decode),
-            ("queue_wait", self.queue_wait),
-            ("batch_form", self.batch_form),
             ("scan", self.scan),
             ("encode", self.encode),
             ("write_back", self.write_back),
@@ -338,16 +321,17 @@ impl ServeObs {
         (self.next_conn_shard.fetch_add(1, Ordering::Relaxed) as usize) % SHARDS
     }
 
-    /// Records one completed request: per-opcode and aggregate counters,
-    /// the end-to-end and stage histograms, and the slow-request check.
-    /// Called exactly once per request by the handler that owns it.
+    /// Records one completed request in a single call: per-opcode and
+    /// aggregate counters, the end-to-end and stage histograms, and the
+    /// slow-request check — the unbuffered equivalent of the
+    /// [`Self::count`] plus [`Self::record_buffered`] pair that connection
+    /// handlers use.
     pub fn record(&self, record: &RequestRecord) {
         self.record_at((record.request_id as usize) % SHARDS, record);
     }
 
-    /// [`Self::record`] onto an explicit registry shard — connection
-    /// handlers pass their [`Self::conn_shard`] for cache locality. Shard
-    /// choice never changes any total: the registry sums shards on read.
+    /// [`Self::record`] onto an explicit registry shard. Shard choice
+    /// never changes any total: the registry sums shards on read.
     pub fn record_at(&self, shard: usize, record: &RequestRecord) {
         self.count(shard, record.op, record.error);
         let t = &self.trace;
@@ -415,21 +399,7 @@ impl ServeObs {
         observe(record.op.hist(), total);
         observe(HistKind::ServeAccept, record.stages.accept);
         observe(HistKind::ServeDecode, record.stages.decode);
-        if record.op.is_queued() {
-            observe(HistKind::ServeQueueWait, record.stages.queue_wait);
-            observe(HistKind::ServeBatchForm, record.stages.batch_form);
-            observe(HistKind::ServeScan, record.stages.scan);
-            // The legacy whole-lifetime histogram (enqueue to scored) is
-            // exactly the three queue stages end to end.
-            observe(
-                HistKind::ServeRequest,
-                record
-                    .stages
-                    .queue_wait
-                    .saturating_add(record.stages.batch_form)
-                    .saturating_add(record.stages.scan),
-            );
-        }
+        observe(HistKind::ServeScan, record.stages.scan);
         observe(HistKind::ServeEncode, record.stages.encode);
         observe(HistKind::ServeWriteBack, record.stages.write_back);
         if total >= self.slow_threshold_nanos {
@@ -500,20 +470,10 @@ impl ServeObs {
     }
 
     /// Emits the `serve_start` lifecycle event.
-    pub fn event_serve_start(
-        &self,
-        addr: &str,
-        threads: usize,
-        max_batch: usize,
-        kernel: &str,
-        generation: u64,
-        clusters: u32,
-    ) {
+    pub fn event_serve_start(&self, addr: &str, kernel: &str, generation: u64, clusters: u32) {
         self.emit(|w| {
             w.field_str("event", "serve_start");
             w.field_str("addr", addr);
-            w.field_usize("threads", threads);
-            w.field_usize("max_batch", max_batch);
             w.field_str("kernel", kernel);
             w.field_u64("generation", generation);
             w.field_u64("clusters", u64::from(clusters));
@@ -532,10 +492,9 @@ impl ServeObs {
     /// The registry snapshot `serve_end` carries and `trace-summary`
     /// renders: every serve counter, and bucket counts plus sums for
     /// every serve histogram.
-    const SNAPSHOT_COUNTERS: [Counter; 11] = [
+    const SNAPSHOT_COUNTERS: [Counter; 10] = [
         Counter::ServeRequests,
         Counter::ServeErrors,
-        Counter::ServeBatches,
         Counter::ServeSwaps,
         Counter::ServeAssign,
         Counter::ServeScore,
@@ -547,19 +506,16 @@ impl ServeObs {
     ];
 
     /// The histograms snapshotted into `serve_end`.
-    const SNAPSHOT_HISTS: [HistKind; 12] = [
+    const SNAPSHOT_HISTS: [HistKind; 9] = [
         HistKind::ServeAssign,
         HistKind::ServeScore,
         HistKind::ServeAnomaly,
         HistKind::ServeAdmin,
         HistKind::ServeAccept,
         HistKind::ServeDecode,
-        HistKind::ServeQueueWait,
-        HistKind::ServeBatchForm,
         HistKind::ServeScan,
         HistKind::ServeEncode,
         HistKind::ServeWriteBack,
-        HistKind::ServeBatchJobs,
     ];
 
     /// Emits the `serve_end` lifecycle event: a full snapshot of the
@@ -630,8 +586,6 @@ mod tests {
         let stages = StageNanos {
             accept: 10,
             decode: 20,
-            queue_wait: 30,
-            batch_form: 5,
             scan: 100,
             encode: 7,
             write_back: 8,
@@ -665,11 +619,8 @@ mod tests {
             1
         );
         assert_eq!(t.hist_counts(HistKind::ServeAdmin).iter().sum::<u64>(), 1);
-        // Admin ops stay out of the queue-stage histograms.
-        assert_eq!(
-            t.hist_counts(HistKind::ServeQueueWait).iter().sum::<u64>(),
-            1
-        );
+        // Every request, admin ops included, runs all five stages.
+        assert_eq!(t.hist_counts(HistKind::ServeScan).iter().sum::<u64>(), 2);
         assert_eq!(t.hist_sum(HistKind::ServeAssign), stages.total());
     }
 
@@ -697,8 +648,8 @@ mod tests {
         let buffered = ServeObs::in_memory(registry());
         let mut local = ObsLocal::new();
         // Mix of ops, errors, and zero-valued stages (the error record's
-        // queue stages are all zero — the dirty bitmask must still flush
-        // those pure-zero observations).
+        // stages are all zero — the dirty bitmask must still flush those
+        // pure-zero observations).
         let records = [
             (ServeOp::Assign, false, 1_234u64),
             (ServeOp::Score, false, 987_654),
@@ -716,8 +667,8 @@ mod tests {
                 stages: StageNanos {
                     accept: scale,
                     decode: scale / 2,
-                    queue_wait: scale * 2,
                     scan: scale * 3,
+                    encode: scale * 2,
                     ..Default::default()
                 },
             };

@@ -190,8 +190,6 @@ pub enum Counter {
     ServeRequests,
     /// Error frames/responses the serve daemon produced.
     ServeErrors,
-    /// Scoring batches the serve dispatcher executed.
-    ServeBatches,
     /// Successful hot-swaps to a new model generation.
     ServeSwaps,
     /// Pairs answered from the incremental similarity cache instead of
@@ -223,7 +221,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in display order.
-    pub const ALL: [Counter; 27] = [
+    pub const ALL: [Counter; 26] = [
         Counter::PairsScored,
         Counter::PairsPruned,
         Counter::Joins,
@@ -239,7 +237,6 @@ impl Counter {
         Counter::CheckpointBytes,
         Counter::ServeRequests,
         Counter::ServeErrors,
-        Counter::ServeBatches,
         Counter::ServeSwaps,
         Counter::PairsReused,
         Counter::ClustersDirty,
@@ -271,7 +268,6 @@ impl Counter {
             Counter::CheckpointBytes => "checkpoint_bytes",
             Counter::ServeRequests => "serve_requests",
             Counter::ServeErrors => "serve_errors",
-            Counter::ServeBatches => "serve_batches",
             Counter::ServeSwaps => "serve_swaps",
             Counter::PairsReused => "pairs_reused",
             Counter::ClustersDirty => "clusters_dirty",
@@ -305,22 +301,15 @@ pub enum Gauge {
     ThresholdLogT,
     /// The serve daemon's live model generation (0 when not serving).
     ServeGeneration,
-    /// Jobs sitting in the serve dispatcher's queue right now.
-    ServeQueueDepth,
-    /// Requests accepted by the serve daemon and not yet answered
-    /// (queued plus mid-batch; maintained with [`TraceShared::gauge_add`]).
-    ServeInFlight,
 }
 
 impl Gauge {
     /// Every gauge, in display order.
-    pub const ALL: [Gauge; 6] = [
+    pub const ALL: [Gauge; 4] = [
         Gauge::Iteration,
         Gauge::ClustersLive,
         Gauge::ThresholdLogT,
         Gauge::ServeGeneration,
-        Gauge::ServeQueueDepth,
-        Gauge::ServeInFlight,
     ];
 
     fn index(self) -> usize {
@@ -340,8 +329,6 @@ pub enum HistKind {
     IterationWall,
     /// Checkpoint write wall time.
     CheckpointWrite,
-    /// Serve-daemon request latency, enqueue to scored response.
-    ServeRequest,
     /// End-to-end ASSIGN latency, first byte to write-back complete.
     ServeAssign,
     /// End-to-end SCORE latency.
@@ -355,30 +342,34 @@ pub enum HistKind {
     ServeAccept,
     /// Stage: decoding and validating the request payload.
     ServeDecode,
-    /// Stage: enqueue until the dispatcher drained the job into a batch.
+    /// Nothing observes it: the serve daemon has no queue, since each
+    /// connection thread scores its own requests. Kept only so
+    /// `perfbench/`, which reads it, compiles; it goes with the next
+    /// change to the benchmark.
     ServeQueueWait,
-    /// Stage: batch drain until batch scoring began (model pinning).
+    /// Nothing observes it; kept, like [`HistKind::ServeQueueWait`], only
+    /// so `perfbench/` compiles.
     ServeBatchForm,
-    /// Stage: the batched scoring pass itself.
+    /// Stage: answering the request against the pinned model generation.
     ServeScan,
     /// Stage: encoding the response frame or JSON body.
     ServeEncode,
     /// Stage: writing the encoded response back to the socket.
     ServeWriteBack,
-    /// Jobs per dispatched batch. Unit is **jobs**, not time: a batch of
-    /// `n` jobs is recorded as `n` µs, so bucket `b` covers
-    /// `[2^(b-1), 2^b)` jobs and the exporter divides edges and sums by
-    /// 1000 to render job counts.
+    /// Jobs per dispatched batch. Nothing observes it; kept, like
+    /// [`HistKind::ServeQueueWait`], only so `perfbench/` compiles. Unit
+    /// is **jobs**, not time: a batch of `n` jobs would be recorded as
+    /// `n` µs, so bucket `b` covers `[2^(b-1), 2^b)` jobs and the
+    /// exporter divides edges and sums by 1000 to render job counts.
     ServeBatchJobs,
 }
 
 impl HistKind {
     /// Every histogram, in display order.
-    pub const ALL: [HistKind; 16] = [
+    pub const ALL: [HistKind; 15] = [
         HistKind::ScoreRow,
         HistKind::IterationWall,
         HistKind::CheckpointWrite,
-        HistKind::ServeRequest,
         HistKind::ServeAssign,
         HistKind::ServeScore,
         HistKind::ServeAnomaly,
@@ -399,7 +390,6 @@ impl HistKind {
             HistKind::ScoreRow => "score_row",
             HistKind::IterationWall => "iteration_wall",
             HistKind::CheckpointWrite => "checkpoint_write",
-            HistKind::ServeRequest => "serve_request",
             HistKind::ServeAssign => "serve_assign",
             HistKind::ServeScore => "serve_score",
             HistKind::ServeAnomaly => "serve_anomaly",
@@ -647,14 +637,6 @@ impl TraceShared {
     /// Sets an `f64` gauge (stored as bits).
     pub fn gauge_set_f64(&self, gauge: Gauge, v: f64) {
         self.gauges[gauge.index()].store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Adds a signed delta to a `u64` gauge (two's-complement wrapping,
-    /// so balanced `+1`/`-1` pairs from different threads always return
-    /// the gauge to its starting value). The up/down counterpart of
-    /// [`TraceShared::gauge_set`] for live occupancy gauges.
-    pub fn gauge_add(&self, gauge: Gauge, delta: i64) {
-        self.gauges[gauge.index()].fetch_add(delta as u64, Ordering::Relaxed);
     }
 
     /// Reads a `u64` gauge.
@@ -1108,22 +1090,6 @@ mod tests {
         assert_eq!(shards[99], 3);
         assert_eq!(shard_for(10_000, 1), SHARDS - 1);
         assert_eq!(shard_for(7, 0), 0);
-    }
-
-    #[test]
-    fn gauge_add_balances_to_zero() {
-        let s = TraceSession::in_memory();
-        let shared = s.shared();
-        shared.gauge_add(Gauge::ServeInFlight, 3);
-        shared.gauge_add(Gauge::ServeInFlight, -1);
-        assert_eq!(shared.gauge(Gauge::ServeInFlight), 2);
-        shared.gauge_add(Gauge::ServeInFlight, -2);
-        assert_eq!(shared.gauge(Gauge::ServeInFlight), 0);
-        // A transient negative (decrement observed before increment)
-        // wraps, but the balanced total still lands on zero.
-        shared.gauge_add(Gauge::ServeInFlight, -1);
-        shared.gauge_add(Gauge::ServeInFlight, 1);
-        assert_eq!(shared.gauge(Gauge::ServeInFlight), 0);
     }
 
     #[test]

@@ -182,22 +182,6 @@ pub fn render(shared: &TraceShared) -> String {
         "cluseq_serve_generation {}\n",
         shared.gauge(Gauge::ServeGeneration)
     ));
-    out.push_str("# HELP cluseq_serve_queue_depth Jobs waiting in the serve dispatcher queue.\n");
-    out.push_str("# TYPE cluseq_serve_queue_depth gauge\n");
-    out.push_str(&format!(
-        "cluseq_serve_queue_depth {}\n",
-        shared.gauge(Gauge::ServeQueueDepth)
-    ));
-    out.push_str(
-        "# HELP cluseq_serve_in_flight Serve requests accepted and not yet answered.\n",
-    );
-    out.push_str("# TYPE cluseq_serve_in_flight gauge\n");
-    out.push_str(&format!(
-        "cluseq_serve_in_flight {}\n",
-        // The gauge is +1/-1 balanced; a transient interleaving can read
-        // as a wrapped negative, which is clamped to 0 for exposition.
-        (shared.gauge(Gauge::ServeInFlight) as i64).max(0)
-    ));
     out.push_str("# HELP cluseq_process_rss_bytes Resident set size of this process (0 where /proc is unavailable).\n");
     out.push_str("# TYPE cluseq_process_rss_bytes gauge\n");
     out.push_str(&format!("cluseq_process_rss_bytes {}\n", rss_bytes()));
@@ -327,7 +311,6 @@ fn counter_help(counter: Counter) -> &'static str {
         Counter::CheckpointBytes => "Bytes of checkpoint data successfully written.",
         Counter::ServeRequests => "Requests the serve daemon answered with a scored response.",
         Counter::ServeErrors => "Error frames/responses the serve daemon produced.",
-        Counter::ServeBatches => "Scoring batches the serve dispatcher executed.",
         Counter::ServeSwaps => "Successful hot-swaps to a new model generation.",
         Counter::PairsReused => "Pairs answered from the incremental engine's similarity cache.",
         Counter::ClustersDirty => "Clusters entering a scan without a valid cached column.",
@@ -350,19 +333,18 @@ fn hist_help(hist: HistKind) -> &'static str {
         }
         HistKind::IterationWall => "Wall time of one whole iteration.",
         HistKind::CheckpointWrite => "Wall time of one checkpoint write.",
-        HistKind::ServeRequest => "Serve request latency, enqueue to scored response.",
         HistKind::ServeAssign => "End-to-end ASSIGN latency, first byte to write-back.",
         HistKind::ServeScore => "End-to-end SCORE latency, first byte to write-back.",
         HistKind::ServeAnomaly => "End-to-end ANOMALY latency, first byte to write-back.",
         HistKind::ServeAdmin => "End-to-end latency of INFO/SWAP/SHUTDOWN requests.",
         HistKind::ServeAccept => "Stage: reading the rest of the request off the socket.",
         HistKind::ServeDecode => "Stage: decoding and validating the request payload.",
-        HistKind::ServeQueueWait => "Stage: enqueue until drained into a dispatch batch.",
-        HistKind::ServeBatchForm => "Stage: batch drain until scoring began.",
-        HistKind::ServeScan => "Stage: the batched scoring pass.",
+        HistKind::ServeQueueWait => "Unused: the serve daemon has no queue stage.",
+        HistKind::ServeBatchForm => "Unused: the serve daemon has no batch stage.",
+        HistKind::ServeScan => "Stage: answering the request against the pinned model.",
         HistKind::ServeEncode => "Stage: encoding the response.",
         HistKind::ServeWriteBack => "Stage: writing the response to the socket.",
-        HistKind::ServeBatchJobs => "Jobs per dispatched serve batch (unit: jobs, not seconds).",
+        HistKind::ServeBatchJobs => "Unused: the serve daemon has no batches (unit: jobs).",
     }
 }
 
@@ -409,8 +391,6 @@ mod tests {
         let s = TraceSession::in_memory();
         s.add(Counter::ServeAssign, 4);
         s.add(Counter::ServeSlow, 1);
-        s.shared().gauge_set(Gauge::ServeQueueDepth, 5);
-        s.shared().gauge_add(Gauge::ServeInFlight, 2);
         s.observe(HistKind::ServeQueueWait, 0, 2_500);
         // A 3-job batch is stored as 3 µs (unit: jobs).
         s.observe(HistKind::ServeBatchJobs, 0, 3_000);
@@ -419,8 +399,6 @@ mod tests {
             "cluseq_serve_assign_requests_total 4\n",
             "cluseq_serve_score_requests_total 0\n",
             "cluseq_serve_slow_requests_total 1\n",
-            "cluseq_serve_queue_depth 5\n",
-            "cluseq_serve_in_flight 2\n",
             "cluseq_serve_stage_queue_wait_seconds_bucket{le=\"0.000004\"} 1\n",
             "cluseq_serve_batch_jobs_bucket{le=\"4\"} 1\n",
             "cluseq_serve_batch_jobs_sum 3\n",
@@ -431,14 +409,6 @@ mod tests {
         }
         // The jobs histogram must not carry a seconds suffix.
         assert!(!page.contains("cluseq_serve_batch_jobs_seconds"));
-    }
-
-    #[test]
-    fn wrapped_in_flight_gauge_renders_as_zero() {
-        let s = TraceSession::in_memory();
-        s.shared().gauge_add(Gauge::ServeInFlight, -1);
-        let page = render(s.shared());
-        assert!(page.contains("cluseq_serve_in_flight 0\n"), "{page}");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! A cheap monotonic stamp for hot-path stage timing.
 //!
 //! `Instant::now()` costs ~30ns per read on a typical Linux host (a vDSO
-//! `clock_gettime`); a traced serve request takes about nine stamps, so
-//! the clock alone would eat ~2% of a ~13µs request. [`Stamp::now`]
+//! `clock_gettime`); a traced serve request takes six stamps, so the
+//! clock alone would eat over 1% of a ~13µs request. [`Stamp::now`]
 //! reads the x86-64 time-stamp counter instead (~7ns) and converts tick
 //! deltas to nanoseconds with a factor calibrated once per process
 //! against `Instant`. On other architectures — or if the TSC turns out

@@ -126,7 +126,11 @@ fn rows_from_iterations(iterations: &[JsonValue]) -> Vec<Row> {
 /// Bucket counts plus observation sum for one histogram in a `serve_end`
 /// snapshot.
 fn hist_from_end(end: &JsonValue, name: &str) -> Option<([u64; HIST_BUCKETS], u64)> {
-    let h = end.get("hists")?.get(name)?;
+    hist_of(end.get("hists")?.get(name)?)
+}
+
+/// Bucket counts plus observation sum of one snapshotted histogram.
+fn hist_of(h: &JsonValue) -> Option<([u64; HIST_BUCKETS], u64)> {
     let arr = h.get("counts")?.as_arr()?;
     let mut counts = [0u64; HIST_BUCKETS];
     for (slot, v) in counts.iter_mut().zip(arr) {
@@ -168,11 +172,8 @@ fn render_serve(replay: &TraceReplay) -> Option<String> {
     let mut out = String::new();
     if let Some(s) = start {
         out.push_str(&format!(
-            "serve: {} — threads {}, max_batch {}, kernel {}, started at generation {} \
-             ({} clusters)\n",
+            "serve: {} — kernel {}, started at generation {} ({} clusters)\n",
             s.get("addr").and_then(JsonValue::as_str).unwrap_or("?"),
-            u64_field(s, "threads"),
-            u64_field(s, "max_batch"),
             s.get("kernel").and_then(JsonValue::as_str).unwrap_or("?"),
             u64_field(s, "generation"),
             u64_field(s, "clusters"),
@@ -186,10 +187,9 @@ fn render_serve(replay: &TraceReplay) -> Option<String> {
             let counters = end.get("counters");
             let c = |key: &str| counters.map_or(0, |v| u64_field(v, key));
             out.push_str(&format!(
-                "serve totals: {} ok, {} errors, {} batches, {} swaps, {} slow\n",
+                "serve totals: {} ok, {} errors, {} swaps, {} slow\n",
                 c("serve_requests"),
                 c("serve_errors"),
-                c("serve_batches"),
                 c("serve_swaps"),
                 c("serve_slow_requests"),
             ));
@@ -226,16 +226,14 @@ fn render_serve(replay: &TraceReplay) -> Option<String> {
                 "\n{:<12} {:>10} {:>9} {:>9}  (stage ms)\n",
                 "stage", "count", "mean", "p99"
             ));
-            for (label, hist) in [
-                ("accept", "serve_stage_accept"),
-                ("decode", "serve_stage_decode"),
-                ("queue_wait", "serve_stage_queue_wait"),
-                ("batch_form", "serve_stage_batch_form"),
-                ("scan", "serve_stage_scan"),
-                ("encode", "serve_stage_encode"),
-                ("write_back", "serve_stage_write_back"),
-            ] {
-                let Some((counts, sum)) = hist_from_end(end, hist) else {
+            // Every stage the snapshot holds, in its (lifecycle) order, so
+            // a stream from an older daemon renders its stages too.
+            let stages = end.get("hists").and_then(JsonValue::as_obj).unwrap_or(&[]);
+            for (name, hist) in stages {
+                let Some(label) = name.strip_prefix("serve_stage_") else {
+                    continue;
+                };
+                let Some((counts, sum)) = hist_of(hist) else {
                     continue;
                 };
                 let count: u64 = counts.iter().sum();
@@ -249,17 +247,6 @@ fn render_serve(replay: &TraceReplay) -> Option<String> {
                     fmt_millis(sum / count),
                     fmt_quantile_ms(&counts, 0.99),
                 ));
-            }
-            if let Some((counts, sum)) = hist_from_end(end, "serve_batch_jobs") {
-                let count: u64 = counts.iter().sum();
-                if count > 0 {
-                    // Jobs ride the histogram in "micro-jobs" (n·1000).
-                    out.push_str(&format!(
-                        "mean batch size: {:.1} jobs over {} batches\n",
-                        sum as f64 / 1000.0 / count as f64,
-                        count,
-                    ));
-                }
             }
         }
         None => {
@@ -487,8 +474,10 @@ mod tests {
     }
 
     fn serve_trace() -> String {
-        // 10 assign observations in bucket 2 ([2, 4) µs), one accept
-        // observation in bucket 0.
+        // A stream from a daemon that still batched: its serve_start
+        // carries threads/max_batch and its snapshot a batch counter and
+        // queue stage. 10 assign observations in bucket 2 ([2, 4) µs), one
+        // accept and one queue_wait observation in bucket 0.
         let mut assign = [0u64; HIST_BUCKETS];
         assign[2] = 10;
         let mut accept = [0u64; HIST_BUCKETS];
@@ -511,6 +500,7 @@ mod tests {
                 "\"serve_swaps\":1,\"serve_slow_requests\":1}},\"hists\":{{",
                 "\"serve_assign\":{{\"sum_nanos\":30000,\"counts\":[{assign}]}},",
                 "\"serve_stage_accept\":{{\"sum_nanos\":500,\"counts\":[{accept}]}},",
+                "\"serve_stage_queue_wait\":{{\"sum_nanos\":700,\"counts\":[{accept}]}},",
                 "\"serve_batch_jobs\":{{\"sum_nanos\":12000,\"counts\":[{accept}]}}",
                 "}}}}\n",
             ),
@@ -523,11 +513,17 @@ mod tests {
     fn serve_trace_renders_without_clustering_header() {
         let replay = read_trace_str(&serve_trace()).unwrap();
         let text = render_summary(&replay);
-        assert!(text.contains("serve: 127.0.0.1:7878"), "{text}");
+        assert!(
+            text.contains("serve: 127.0.0.1:7878 — kernel compiled"),
+            "{text}"
+        );
         assert!(text.contains("serve swaps in stream: 1"));
-        assert!(text.contains("serve totals: 10 ok, 1 errors, 3 batches"));
+        assert!(text.contains("serve totals: 10 ok, 1 errors, 1 swaps, 1 slow"));
         assert!(text.contains("assign"));
-        assert!(text.contains("mean batch size: 12.0 jobs over 1 batches"));
+        // Both stages the old snapshot holds render; its batch series do not.
+        assert!(text.contains("\naccept "), "{text}");
+        assert!(text.contains("\nqueue_wait "), "{text}");
+        assert!(!text.contains("batch"), "{text}");
         // p50 of 10 observations in bucket 2 interpolates inside [2, 4) µs.
         assert!(!text.contains("run still in progress"), "{text}");
         assert!(!text.contains("phase"), "{text}");
@@ -535,19 +531,31 @@ mod tests {
 
     #[test]
     fn slow_request_log_renders_slowest_table() {
+        // One seven-stage record from a daemon that still queued, one
+        // five-stage record from the current daemon.
         let trace = concat!(
             "{\"seq\":0,\"event\":\"slow_request\",\"request_id\":7,\"op\":\"assign\",",
             "\"transport\":\"binary\",\"generation\":3,\"seq_len\":40,\"error\":false,",
             "\"total_nanos\":250000000,\"threshold_nanos\":100000000,\"stage_nanos\":",
             "{\"accept\":1000,\"decode\":2000,\"queue_wait\":200000000,",
             "\"batch_form\":0,\"scan\":49997000,\"encode\":0,\"write_back\":0}}\n",
+            "{\"seq\":1,\"event\":\"slow_request\",\"request_id\":9,\"op\":\"score\",",
+            "\"transport\":\"http\",\"generation\":3,\"seq_len\":40,\"error\":false,",
+            "\"total_nanos\":120000000,\"threshold_nanos\":100000000,\"stage_nanos\":",
+            "{\"accept\":1000,\"decode\":2000,\"scan\":119990000,\"encode\":3000,",
+            "\"write_back\":4000}}\n",
         );
         let replay = read_trace_str(trace).unwrap();
         let text = render_summary(&replay);
-        assert!(text.contains("slow requests: 1 logged"), "{text}");
+        assert!(text.contains("slow requests: 2 logged"), "{text}");
         assert!(text.contains("assign"));
-        assert!(text.contains("queue_wait"), "dominant stage: {text}");
+        assert!(
+            text.contains("queue_wait (200.00 ms)"),
+            "dominant stage: {text}"
+        );
         assert!(text.contains("250.00"));
+        assert!(text.contains("scan (119.99 ms)"), "dominant stage: {text}");
+        assert!(text.contains("120.00"));
     }
 
     #[test]

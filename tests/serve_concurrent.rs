@@ -1,10 +1,9 @@
-//! Concurrent-determinism suite: N client threads replay a fixed query
-//! set against the daemon at `--threads` 1 and 4, under both scan
-//! kernels, and every collected response must be bit-identical to the
-//! offline `SavedModel::assign` / fresh `OnlineCluseq` answers — and
-//! therefore identical across all four configurations. Batching
-//! concurrent requests may change *when* a query is scored, never *what*
-//! it returns.
+//! Concurrent-determinism suite: 1 and 6 client threads replay a fixed
+//! query set against the daemon under both scan kernels, and every
+//! collected response must be bit-identical to the offline
+//! `SavedModel::assign` / fresh `OnlineCluseq` answers — and therefore
+//! identical across all four configurations. Concurrency may change
+//! *when* a query is scored, never *what* it returns.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -106,8 +105,8 @@ fn replay(
                 let queries = Arc::clone(queries);
                 scope.spawn(move || {
                     let mut client = ServeClient::connect(addr).expect("connect");
-                    // Stagger starting points so the batches interleave
-                    // different queries from different clients.
+                    // Stagger starting points so concurrent requests
+                    // interleave different queries from different clients.
                     let n = queries.len();
                     (0..n)
                         .map(|i| {
@@ -149,7 +148,7 @@ fn model_file(dir: &Path, outcome: &CluseqOutcome) -> PathBuf {
 }
 
 #[test]
-fn concurrent_batched_responses_are_bit_identical_across_configs() {
+fn concurrent_responses_are_bit_identical_across_configs() {
     let dir = tmpdir("serve-concurrent");
     let db = workload();
     let params = params();
@@ -180,23 +179,22 @@ fn concurrent_batched_responses_are_bit_identical_across_configs() {
     }
 
     for kernel in [ScanKernel::Interpreted, ScanKernel::Compiled] {
-        for threads in [1usize, 4] {
+        for clients in [1usize, 6] {
             let model = ServeModel::load(&model_path, None, kernel, 1).expect("load serve model");
             let config = ServeConfig {
                 addr: "127.0.0.1:0".into(),
-                threads,
-                max_batch: 8,
                 kernel,
                 frame_timeout: std::time::Duration::from_secs(5),
                 watch_sighup: false,
             };
             let server = Server::start(model, None, &config, None).expect("start server");
-            let collected = replay(server.addr(), &queries, 6);
+            let collected = replay(server.addr(), &queries, clients);
             server.shutdown();
+            assert_eq!(collected.len(), clients);
             for (client_id, answers) in collected.iter().enumerate() {
                 assert_eq!(
                     answers, &expected,
-                    "kernel={kernel} threads={threads} client={client_id}: \
+                    "kernel={kernel} clients={clients} client={client_id}: \
                      served answers differ from offline SavedModel"
                 );
             }
@@ -204,8 +202,8 @@ fn concurrent_batched_responses_are_bit_identical_across_configs() {
     }
 }
 
-/// The HTTP facade routes through the same queue: a JSON /assign answer
-/// must carry the same hits the binary protocol returns.
+/// The HTTP facade answers through the same engine: a JSON /assign
+/// answer must carry the same hits the binary protocol returns.
 #[test]
 fn http_facade_matches_binary_protocol() {
     use std::io::{Read, Write};

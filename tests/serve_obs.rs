@@ -1,20 +1,22 @@
 //! Serve-path observability suite: the slow-request log survives
 //! truncation at every byte (failpoint-driven), the slow threshold is an
-//! exact boundary, all new serve counters and histogram totals are
-//! bit-identical across `--threads`, the health endpoints answer, and a
-//! serve trace file renders offline through `trace-summary`'s renderer.
+//! exact boundary, all serve counters and histogram totals are
+//! bit-identical however the same requests are spread over concurrent
+//! connections, a request is counted before its response arrives, the
+//! health endpoints answer (and `/readyz` reports a drain), and a serve
+//! trace file renders offline through `trace-summary`'s renderer.
 
 use std::fs;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::Duration;
 
 use cluseq::core::failpoint::{FailPlan, FailingReader};
 use cluseq::core::serve::obs::{ObsConfig, RequestRecord, ServeObs, ServeOp, StageNanos};
 use cluseq::core::trace::sink::{read_trace, JsonlSink};
-use cluseq::core::trace::{summary, Counter, Gauge, HistKind, TraceSession};
+use cluseq::core::trace::{summary, Counter, HistKind, TraceSession};
 use cluseq::prelude::*;
 
 fn tmpdir(name: &str) -> PathBuf {
@@ -53,12 +55,10 @@ fn saved_model(dir: &Path) -> PathBuf {
     path
 }
 
-fn start_with_obs(model_path: &Path, threads: usize, obs: Arc<ServeObs>) -> ServerHandle {
+fn start_with_obs(model_path: &Path, obs: Arc<ServeObs>) -> ServerHandle {
     let model = ServeModel::load(model_path, None, ScanKernel::Compiled, 1).expect("load model");
     let config = ServeConfig {
         addr: "127.0.0.1:0".into(),
-        threads,
-        max_batch: 8,
         kernel: ScanKernel::Compiled,
         frame_timeout: Duration::from_secs(5),
         watch_sighup: false,
@@ -89,6 +89,31 @@ fn http(addr: std::net::SocketAddr, request: &str) -> (u16, String) {
     (status, body.to_string())
 }
 
+/// Reads one HTTP response off `stream` — the head, then exactly
+/// `Content-Length` body bytes — without waiting for the server to close.
+fn read_by_length(stream: &mut TcpStream) -> (u16, String) {
+    let mut head = Vec::new();
+    let mut byte = [0u8; 1];
+    while !head.ends_with(b"\r\n\r\n") {
+        stream.read_exact(&mut byte).expect("read head");
+        head.push(byte[0]);
+    }
+    let head = String::from_utf8(head).expect("utf-8 head");
+    let length: usize = head
+        .lines()
+        .find_map(|l| l.strip_prefix("Content-Length: "))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("content length");
+    let mut body = vec![0u8; length];
+    stream.read_exact(&mut body).expect("read body");
+    let status = head
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .expect("status");
+    (status, String::from_utf8(body).expect("utf-8 body"))
+}
+
 fn queries(db: &SequenceDatabase, n: usize) -> Vec<Vec<Symbol>> {
     (0..n.min(db.len()))
         .map(|i| db.sequence(i).symbols().to_vec())
@@ -106,7 +131,7 @@ fn zero_threshold_logs_every_request_and_trace_renders_offline() {
         slow_threshold: Duration::ZERO,
         trace_jsonl: Some(trace_path.clone()),
     });
-    let server = start_with_obs(&model_path, 2, Arc::clone(&obs));
+    let server = start_with_obs(&model_path, Arc::clone(&obs));
     let addr = server.addr();
 
     let db = workload(31);
@@ -132,15 +157,7 @@ fn zero_threshold_logs_every_request_and_trace_renders_offline() {
         assert!(first.get(key).is_some(), "slow record is missing {key}");
     }
     let stages = first.get("stage_nanos").expect("stage breakdown");
-    for stage in [
-        "accept",
-        "decode",
-        "queue_wait",
-        "batch_form",
-        "scan",
-        "encode",
-        "write_back",
-    ] {
+    for stage in ["accept", "decode", "scan", "encode", "write_back"] {
         assert!(stages.get(stage).is_some(), "missing stage {stage}");
     }
     let transports: Vec<&str> = replay
@@ -165,7 +182,7 @@ fn zero_threshold_logs_every_request_and_trace_renders_offline() {
     assert!(text.contains("serve: "), "{text}");
     assert!(text.contains("serve totals:"), "{text}");
     assert!(text.contains("assign"), "{text}");
-    assert!(text.contains("queue_wait"), "{text}");
+    assert!(text.contains("\nscan "), "{text}");
 
     // The slow log renders on its own, too.
     let slow_text = summary::render_summary(&read_trace(&slow_path).unwrap());
@@ -193,9 +210,7 @@ fn slow_log_tail_repairs_after_truncation_at_every_byte() {
             stages: StageNanos {
                 accept: 100,
                 decode: 50,
-                queue_wait: 1_000 * (i + 1),
-                batch_form: 10,
-                scan: 5_000,
+                scan: 5_000 * (i + 1),
                 encode: 20,
                 write_back: 30,
             },
@@ -284,37 +299,58 @@ fn slow_threshold_is_an_exact_boundary() {
 }
 
 /// The deterministic half of the observability contract: for the same
-/// request sequence, every counter and every histogram's *total
-/// observation count* is bit-identical at any `--threads`. (Bucket
-/// placement is wall-clock and not part of the contract; neither is the
-/// slow counter, which is pinned to zero here via an unreachable
-/// threshold.)
+/// requests, every counter and every histogram's *total observation
+/// count* is bit-identical whether they arrive on one connection or
+/// spread over three concurrent ones. (Bucket placement is wall-clock and
+/// not part of the contract; neither is the slow counter, which is pinned
+/// to zero here via an unreachable threshold.)
 #[test]
 fn counters_and_histogram_totals_are_identical_across_thread_counts() {
     let dir = tmpdir("serve-obs-threads");
     let model_path = saved_model(&dir);
     let db = workload(31);
 
-    let run = |threads: usize| {
+    #[derive(Clone, Copy)]
+    enum Op {
+        Assign,
+        Score,
+        Anomaly,
+        Info,
+    }
+    let mut requests: Vec<(Op, Vec<Symbol>)> = Vec::new();
+    requests.extend(queries(&db, 12).into_iter().map(|q| (Op::Assign, q)));
+    requests.extend(queries(&db, 5).into_iter().map(|q| (Op::Score, q)));
+    requests.extend(queries(&db, 3).into_iter().map(|q| (Op::Anomaly, q)));
+    requests.push((Op::Info, Vec::new()));
+
+    let run = |connections: usize| {
         let obs = obs_with(&ObsConfig {
             slow_log: None,
             slow_threshold: Duration::from_secs(3600),
             trace_jsonl: None,
         });
-        let server = start_with_obs(&model_path, threads, Arc::clone(&obs));
+        let server = start_with_obs(&model_path, Arc::clone(&obs));
         let addr = server.addr();
-        let mut client = ServeClient::connect(addr).expect("connect");
-        for q in queries(&db, 12) {
-            client.assign(&q).expect("assign");
-        }
-        for q in queries(&db, 5) {
-            client.score(&q).expect("score");
-        }
-        for q in queries(&db, 3) {
-            client.anomaly(&q, None).expect("anomaly");
-        }
-        client.info().expect("info");
-        drop(client);
+        // Connection c sends every `connections`-th request; all of them
+        // connect before any sends, so their requests overlap.
+        let ready = Barrier::new(connections);
+        std::thread::scope(|scope| {
+            for c in 0..connections {
+                let (ready, requests) = (&ready, &requests);
+                scope.spawn(move || {
+                    let mut client = ServeClient::connect(addr).expect("connect");
+                    ready.wait();
+                    for (op, q) in requests.iter().skip(c).step_by(connections) {
+                        match op {
+                            Op::Assign => drop(client.assign(q).expect("assign")),
+                            Op::Score => drop(client.score(q).expect("score")),
+                            Op::Anomaly => drop(client.anomaly(q, None).expect("anomaly")),
+                            Op::Info => drop(client.info().expect("info")),
+                        }
+                    }
+                });
+            }
+        });
         // One HTTP request with a parse error (unknown symbol) and one
         // unknown path: deterministic error counting on the facade.
         let (status, _) = http(
@@ -333,22 +369,21 @@ fn counters_and_histogram_totals_are_identical_across_thread_counts() {
             .collect();
         let hist_totals: Vec<(String, u64)> = HistKind::ALL
             .iter()
-            .map(|&h| {
-                (
-                    h.as_str().to_string(),
-                    t.hist_counts(h).iter().sum::<u64>(),
-                )
-            })
+            .map(|&h| (h.as_str().to_string(), t.hist_counts(h).iter().sum::<u64>()))
             .collect();
-        assert_eq!(t.gauge(Gauge::ServeQueueDepth), 0, "queue drained");
-        assert_eq!(t.gauge(Gauge::ServeInFlight), 0, "in-flight balanced");
         (counters, hist_totals)
     };
 
     let (counters_1, hists_1) = run(1);
-    let (counters_4, hists_4) = run(4);
-    assert_eq!(counters_1, counters_4, "counters differ across --threads");
-    assert_eq!(hists_1, hists_4, "histogram totals differ across --threads");
+    let (counters_3, hists_3) = run(3);
+    assert_eq!(
+        counters_1, counters_3,
+        "counters differ across connection counts"
+    );
+    assert_eq!(
+        hists_1, hists_3,
+        "histogram totals differ across connection counts"
+    );
 
     // Spot-check the absolute values so the comparison cannot pass
     // vacuously on all-zero registries.
@@ -366,11 +401,20 @@ fn counters_and_histogram_totals_are_identical_across_thread_counts() {
     assert_eq!(get(&counters_1, "serve_requests"), 21);
     assert_eq!(get(&counters_1, "serve_slow_requests"), 0);
     assert_eq!(get(&hists_1, "serve_stage_accept"), 22, "all recorded ops");
-    // Queue stages are observed for every scoring-op record, including the
-    // HTTP parse error (which never reached the queue and observes zero).
-    assert_eq!(get(&hists_1, "serve_stage_queue_wait"), 21);
+    // Every recorded op runs all five stages, including INFO and the HTTP
+    // parse error (whose scan stage is empty).
+    assert_eq!(get(&hists_1, "serve_stage_scan"), 22);
     assert_eq!(get(&hists_1, "serve_assign"), 13);
     assert_eq!(get(&hists_1, "serve_admin"), 1);
+    // The queue-era histograms are still declared but nothing observes
+    // them.
+    for unused in [
+        "serve_stage_queue_wait",
+        "serve_stage_batch_form",
+        "serve_batch_jobs",
+    ] {
+        assert_eq!(get(&hists_1, unused), 0, "{unused}");
+    }
 }
 
 #[test]
@@ -378,7 +422,7 @@ fn health_endpoints_and_metrics_answer_on_the_serve_port() {
     let dir = tmpdir("serve-obs-health");
     let model_path = saved_model(&dir);
     let obs = obs_with(&ObsConfig::default());
-    let server = start_with_obs(&model_path, 1, Arc::clone(&obs));
+    let server = start_with_obs(&model_path, Arc::clone(&obs));
     let addr = server.addr();
 
     let (status, body) = http(addr, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
@@ -396,13 +440,70 @@ fn health_endpoints_and_metrics_answer_on_the_serve_port() {
     assert_eq!(status, 200);
     for series in [
         "cluseq_serve_assign_requests_total 1",
-        "cluseq_serve_queue_depth 0",
-        "cluseq_serve_in_flight 0",
         "cluseq_serve_stage_queue_wait_seconds_bucket",
+        "cluseq_serve_stage_scan_seconds_bucket",
         "cluseq_serve_batch_jobs_sum",
         "cluseq_process_rss_bytes",
     ] {
         assert!(body.contains(series), "missing {series} in:\n{body}");
     }
     server.shutdown();
+}
+
+/// A client that reads exactly its response's `Content-Length` bytes —
+/// without waiting for the close — and scrapes `/metrics` at once finds
+/// its own request counted: the facade counts before the bytes leave.
+#[test]
+fn http_request_is_counted_before_its_response_arrives() {
+    let dir = tmpdir("serve-obs-http-count");
+    let model_path = saved_model(&dir);
+    let server = start_with_obs(&model_path, obs_with(&ObsConfig::default()));
+    let addr = server.addr();
+    for i in 1..=50u64 {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        stream
+            .write_all(b"POST /assign HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabab")
+            .expect("send");
+        let (status, body) = read_by_length(&mut stream);
+        assert_eq!(status, 200, "{body}");
+        let (status, page) = http(addr, "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
+        assert_eq!(status, 200);
+        let line = format!("\ncluseq_serve_assign_requests_total {i}\n");
+        assert!(
+            page.contains(&line),
+            "iteration {i}: {line:?} missing from:\n{page}"
+        );
+        drop(stream);
+    }
+    server.shutdown();
+}
+
+/// `/readyz` reports the drain as soon as a stop begins: a probe that
+/// reaches an accepted connection during the handler's drain grace poll
+/// (at least one 100 ms poll) answers 503.
+#[test]
+fn readyz_reports_draining_once_stop_is_set() {
+    let dir = tmpdir("serve-obs-readyz-drain");
+    let model_path = saved_model(&dir);
+    let server = start_with_obs(&model_path, obs_with(&ObsConfig::default()));
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("timeout");
+    let (started, shutting_down) = mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        started.send(()).expect("signal shutdown");
+        server.shutdown();
+    });
+    shutting_down.recv().expect("shutdown began");
+    std::thread::sleep(Duration::from_millis(10));
+    stream
+        .write_all(b"GET /readyz HTTP/1.1\r\nHost: x\r\n\r\n")
+        .expect("send probe");
+    let (status, body) = read_by_length(&mut stream);
+    assert_eq!((status, body.as_str()), (503, "draining\n"));
+    stopper.join().expect("shutdown thread panicked");
 }

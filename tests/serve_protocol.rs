@@ -59,8 +59,6 @@ fn start_server(model_path: &Path, frame_timeout: Duration) -> ServerHandle {
     let model = ServeModel::load(model_path, None, ScanKernel::Compiled, 1).expect("load model");
     let config = ServeConfig {
         addr: "127.0.0.1:0".into(),
-        threads: 2,
-        max_batch: 16,
         kernel: ScanKernel::Compiled,
         frame_timeout,
         watch_sighup: false,

@@ -57,8 +57,6 @@ fn start(model_path: &Path, watch_sighup: bool) -> ServerHandle {
     let model = ServeModel::load(model_path, None, ScanKernel::Compiled, 1).expect("load model");
     let config = ServeConfig {
         addr: "127.0.0.1:0".into(),
-        threads: 2,
-        max_batch: 8,
         kernel: ScanKernel::Compiled,
         frame_timeout: Duration::from_secs(5),
         watch_sighup,
@@ -164,8 +162,9 @@ fn swap_under_load_drops_nothing_and_attributes_every_response() {
                 }
                 g => panic!("response from unknown generation {g}"),
             }
-            // Per-connection generations never go backwards: batches are
-            // dispatched in arrival order from a single dispatcher.
+            // Per-connection generations never go backwards: a connection's
+            // requests are answered in order on its own thread, each
+            // pinning the live generation, which only moves forward.
             assert!(
                 *generation >= last_generation,
                 "generation went backwards: {last_generation} -> {generation}"
