@@ -10,6 +10,10 @@
 //!    each answered by its own connection thread.
 //!
 //! Both phases run with request tracing enabled (an in-memory registry).
+//! One pass of a phase lasts a fraction of a second, so on a small host
+//! a single pass is noise: each phase runs `ROUNDS` (5) times, the two
+//! alternating which goes first, and the JSON records the median of each
+//! figure with the min–max range beside it.
 //!
 //! A third section measures the observability tax directly: trios of
 //! fresh server instances (two untraced, one traced) probed with
@@ -47,11 +51,46 @@ use cluseq_core::{Cluseq, CluseqParams, ScanKernel};
 use cluseq_datagen::SyntheticSpec;
 use cluseq_seq::Symbol;
 
+/// Passes of each load phase.
+const ROUNDS: usize = 5;
+
 struct PhaseStats {
     qps: f64,
     p50_us: f64,
     p95_us: f64,
     p99_us: f64,
+}
+
+/// One figure of a phase over its passes: the median and the range
+/// around it.
+struct Spread {
+    name: &'static str,
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+/// Reads one figure off a pass.
+type Figure = fn(&PhaseStats) -> f64;
+
+/// A phase's figures (qps, p50, p95, p99) over all its passes.
+fn summarize(runs: &[PhaseStats]) -> [Spread; 4] {
+    let figures: [(&'static str, Figure); 4] = [
+        ("qps", |s| s.qps),
+        ("p50_us", |s| s.p50_us),
+        ("p95_us", |s| s.p95_us),
+        ("p99_us", |s| s.p99_us),
+    ];
+    figures.map(|(name, figure)| {
+        let mut values: Vec<f64> = runs.iter().map(figure).collect();
+        let median = median(&mut values);
+        Spread {
+            name,
+            median,
+            min: values[0],
+            max: values[values.len() - 1],
+        }
+    })
 }
 
 fn percentile(sorted: &[u64], p: f64) -> f64 {
@@ -318,25 +357,35 @@ fn main() {
         server.addr(),
         cores
     );
-    let single = run_single(server.addr(), &queries, requests);
-    let concurrent = run_concurrent(server.addr(), &queries, clients, requests);
+    let mut singles = Vec::with_capacity(ROUNDS);
+    let mut concurrents = Vec::with_capacity(ROUNDS);
+    for round in 0..ROUNDS {
+        // Alternate the order so a slow stretch of the host is shared.
+        if round % 2 == 0 {
+            singles.push(run_single(server.addr(), &queries, requests));
+            concurrents.push(run_concurrent(server.addr(), &queries, clients, requests));
+        } else {
+            concurrents.push(run_concurrent(server.addr(), &queries, clients, requests));
+            singles.push(run_single(server.addr(), &queries, requests));
+        }
+    }
     server.shutdown();
+    let single = summarize(&singles);
+    let concurrent = summarize(&concurrents);
 
     let overhead = measure_overhead(&model_path, &config, &queries, requests);
     let _ = std::fs::remove_file(&model_path);
 
-    let speedup = concurrent.qps / single.qps;
-    let row = |name: String, s: &PhaseStats| {
-        vec![
-            name,
-            format!("{:.0}", s.qps),
-            format!("{:.0}", s.p50_us),
-            format!("{:.0}", s.p95_us),
-            format!("{:.0}", s.p99_us),
-        ]
+    // Figure 0 is qps.
+    let speedup = concurrent[0].median / single[0].median;
+    let row = |name: String, figures: &[Spread]| {
+        let cells = figures
+            .iter()
+            .map(|s| format!("{:.0} [{:.0}-{:.0}]", s.median, s.min, s.max));
+        std::iter::once(name).chain(cells).collect::<Vec<_>>()
     };
     print_table(
-        "serve: single-in-flight vs concurrent load (traced)",
+        &format!("serve: single-in-flight vs concurrent load (traced), median [min-max] of {ROUNDS} passes"),
         &["phase", "qps", "p50 (us)", "p95 (us)", "p99 (us)"],
         &[
             row("single".into(), &single),
@@ -350,11 +399,18 @@ fn main() {
     );
 
     let peak_rss = peak_rss_bytes().unwrap_or(0);
-    let phase_json = |s: &PhaseStats| {
-        format!(
-            "{{\"qps\": {:.1}, \"p50_us\": {:.1}, \"p95_us\": {:.1}, \"p99_us\": {:.1}}}",
-            s.qps, s.p50_us, s.p95_us, s.p99_us,
-        )
+    let phase_json = |figures: &[Spread]| {
+        let fields: Vec<String> = figures
+            .iter()
+            .map(|s| {
+                let name = s.name;
+                format!(
+                    "\"{name}\": {:.1}, \"{name}_min\": {:.1}, \"{name}_max\": {:.1}",
+                    s.median, s.min, s.max
+                )
+            })
+            .collect();
+        format!("{{\"runs\": {ROUNDS}, {}}}", fields.join(", "))
     };
     let json = format!(
         "{{\n  \"bench\": \"serve\",\n  \"quick\": {quick},\n  \"peak_rss_bytes\": {peak_rss},\n  \"cores\": {cores},\n  \
@@ -364,7 +420,7 @@ fn main() {
          \"concurrent\": {},\n  \
          \"speedup\": {speedup:.4},\n  \
          \"overhead\": {{\"untraced_qps\": {:.1}, \"traced_qps\": {:.1}, \"trace_overhead_pct\": {:.3}, \"disabled_aa_pct\": {:.3}, \"trio_overhead_pct\": [{}]}},\n  \
-         \"note\": \"overhead numbers are medians of per-trio estimates over 16 respawned server trios, 64 order-rotated fine-grained sweeps each; noisy when cores=1 because client and server share one hardware thread\"\n}}\n",
+         \"note\": \"single and concurrent figures are medians over {ROUNDS} alternating passes, with the min and max pass beside them; overhead numbers are medians of per-trio estimates over 16 respawned server trios, 64 order-rotated fine-grained sweeps each; noisy when cores=1 because client and server share one hardware thread\"\n}}\n",
         phase_json(&single),
         phase_json(&concurrent),
         overhead.untraced_qps,

@@ -18,7 +18,7 @@ use cluseq_seq::SequenceStore;
 use crate::checkpoint::{db_digest, Checkpoint};
 use crate::cluster::Cluster;
 use crate::config::CluseqParams;
-use crate::consolidate::{consolidate_traced, exclusive_member_counts};
+use crate::consolidate::{consolidate, exclusive_member_counts};
 use crate::incremental::SimilarityCache;
 use crate::kernel::ClusterAutomaton;
 use crate::models::ModelCache;
@@ -31,8 +31,8 @@ use crate::telemetry::{
     CheckpointEvent, ClusterSnapshot, HistogramSnapshot, IterationRecord, NoopObserver, PhaseNanos,
     ResumeInfo, RunContext, RunObserver, RunSummary,
 };
-use crate::threshold::decide_threshold_traced;
-use crate::trace::{self, Counter, Gauge, HistKind, IterationEvent, Phase, TraceSession};
+use crate::threshold::decide_threshold;
+use crate::trace::{self, Counter, Phase, TraceSession};
 
 /// The mutable state of the iteration loop — exactly what a
 /// [`Checkpoint`] captures and [`Cluseq::resume`] restores. Keeping it in
@@ -113,55 +113,19 @@ impl Cluseq {
     /// Panics if the store is empty or the parameters are inconsistent
     /// with its alphabet.
     pub fn run(&self, store: &dyn SequenceStore) -> CluseqOutcome {
-        self.run_observed(store, &mut NoopObserver)
+        self.run_traced(store, &mut NoopObserver, None)
     }
 
-    /// [`Cluseq::run`] with a per-iteration progress callback — each
-    /// iteration's [`IterationStats`] is delivered as soon as the
-    /// iteration finishes (the CLI's `--verbose` live log). For the full
-    /// per-iteration telemetry, use [`Cluseq::run_observed`].
-    pub fn run_with_progress(
-        &self,
-        store: &dyn SequenceStore,
-        progress: impl FnMut(&IterationStats),
-    ) -> CluseqOutcome {
-        struct ProgressObserver<F>(F);
-        impl<F: FnMut(&IterationStats)> RunObserver for ProgressObserver<F> {
-            fn on_iteration(&mut self, record: &IterationRecord) {
-                (self.0)(&record.stats());
-            }
-        }
-        self.run_observed(store, &mut ProgressObserver(progress))
-    }
-
-    /// [`Cluseq::run`] with a telemetry sink: `observer` receives the run
-    /// context, one [`IterationRecord`] per completed iteration, and a
-    /// final [`RunSummary`] (see [`crate::telemetry`]). Every counter
+    /// [`Cluseq::run`] with a telemetry sink and optional live tracing.
+    /// `observer` receives the run context, one [`IterationRecord`] per
+    /// completed iteration, and a final [`RunSummary`] (see
+    /// [`crate::telemetry`]). When `trace` is `Some`, the session observes
+    /// the same events, and its registry, spans, JSONL stream, and
+    /// exporter follow the run (see [`crate::trace`]). Every counter
     /// delivered to the observer is deterministic — only the wall-clock
-    /// fields vary across runs and thread counts.
-    pub fn run_observed(
-        &self,
-        store: &dyn SequenceStore,
-        observer: &mut dyn RunObserver,
-    ) -> CluseqOutcome {
-        self.run_inner(store, observer, None)
-    }
-
-    /// [`Cluseq::run_observed`] with live tracing: when `trace` is `Some`,
-    /// the session's registry, spans, JSONL stream, and exporter follow
-    /// the run (see [`crate::trace`]). Tracing never perturbs the
-    /// clustering — the outcome and every deterministic telemetry counter
-    /// are byte-identical to the untraced run.
+    /// fields vary across runs and thread counts — and neither observing
+    /// nor tracing perturbs the clustering.
     pub fn run_traced(
-        &self,
-        store: &dyn SequenceStore,
-        observer: &mut dyn RunObserver,
-        trace: Option<&TraceSession>,
-    ) -> CluseqOutcome {
-        self.run_inner(store, observer, trace)
-    }
-
-    fn run_inner(
         &self,
         store: &dyn SequenceStore,
         observer: &mut dyn RunObserver,
@@ -173,25 +137,12 @@ impl Cluseq {
         let p = &self.params;
         let n = store.len();
 
-        let ctx = RunContext {
-            sequences: n,
-            alphabet_size,
-            threads: p.threads,
-            scan_mode: p.scan_mode,
-            seed: p.seed,
-            initial_log_t: p.initial_threshold.ln(),
-        };
-        observer.on_run_start(&ctx);
-        if let Some(t) = trace {
-            t.event_run_start(&ctx, p.scan_kernel);
-            t.gauge_set_f64(Gauge::ThresholdLogT, ctx.initial_log_t);
-            t.sync();
-        }
-
+        let mut sink = EventSink { observer, trace };
+        let ctx = self.context(store);
+        sink.each(|o| o.on_run_start(&ctx));
         self.drive(
             store,
-            observer,
-            trace,
+            &mut sink,
             LoopState {
                 clusters: Vec::new(),
                 next_id: 0,
@@ -226,37 +177,20 @@ impl Cluseq {
     /// checked). Call [`Checkpoint::verify_database`] first to handle a
     /// mismatch gracefully.
     pub fn resume(checkpoint: Checkpoint, store: &dyn SequenceStore) -> CluseqOutcome {
-        Self::resume_observed(checkpoint, store, &mut NoopObserver)
+        Self::resume_traced(checkpoint, store, &mut NoopObserver, None)
     }
 
-    /// [`Cluseq::resume`] with a telemetry sink. The observer receives the
-    /// run context, then [`RunObserver::on_resume`], then the checkpoint's
-    /// stored iteration records replayed in order, then the live records of
-    /// the remaining iterations — the full sequence an uninterrupted
-    /// observed run would have delivered.
-    pub fn resume_observed(
-        checkpoint: Checkpoint,
-        store: &dyn SequenceStore,
-        observer: &mut dyn RunObserver,
-    ) -> CluseqOutcome {
-        Self::resume_inner(checkpoint, store, observer, None)
-    }
-
-    /// [`Cluseq::resume_observed`] with live tracing. When the
-    /// [`crate::TraceConfig`] points at the trace file of the interrupted
-    /// run, the session continues its JSONL stream in place — the `resume`
-    /// event is the marker [`crate::trace::sink::stitch_iterations`] uses
-    /// to splice the iteration history back together.
+    /// [`Cluseq::resume`] with a telemetry sink and optional live tracing.
+    /// The observer receives the run context, then
+    /// [`RunObserver::on_resume`], then the checkpoint's stored iteration
+    /// records replayed in order, then the live records of the remaining
+    /// iterations — the full sequence an uninterrupted observed run would
+    /// have delivered. When the [`crate::TraceConfig`] points at the trace
+    /// file of the interrupted run, the session continues its JSONL stream
+    /// in place — the `resume` event is the marker
+    /// [`crate::trace::sink::stitch_iterations`] uses to splice the
+    /// iteration history back together.
     pub fn resume_traced(
-        checkpoint: Checkpoint,
-        store: &dyn SequenceStore,
-        observer: &mut dyn RunObserver,
-        trace: Option<&TraceSession>,
-    ) -> CluseqOutcome {
-        Self::resume_inner(checkpoint, store, observer, trace)
-    }
-
-    fn resume_inner(
         checkpoint: Checkpoint,
         store: &dyn SequenceStore,
         observer: &mut dyn RunObserver,
@@ -266,39 +200,27 @@ impl Cluseq {
         if let Err(mismatch) = checkpoint.verify_database(store) {
             panic!("cannot resume: {mismatch}");
         }
-        let alphabet_size = store.alphabet().len();
-        checkpoint.params.validate(alphabet_size);
+        checkpoint.params.validate(store.alphabet().len());
         let runner = Cluseq::new(checkpoint.params.clone());
         let p = &runner.params;
 
-        let ctx = RunContext {
-            sequences: store.len(),
-            alphabet_size,
-            threads: p.threads,
-            scan_mode: p.scan_mode,
-            seed: p.seed,
-            initial_log_t: p.initial_threshold.ln(),
-        };
-        observer.on_run_start(&ctx);
+        let mut sink = EventSink { observer, trace };
+        let ctx = runner.context(store);
+        sink.each(|o| o.on_run_start(&ctx));
         let info = ResumeInfo {
             completed: checkpoint.completed,
             version: Checkpoint::VERSION,
+            clusters: checkpoint.clusters.len(),
+            log_t: checkpoint.log_t,
         };
-        observer.on_resume(&info);
-        if let Some(t) = trace {
-            t.event_run_start(&ctx, p.scan_kernel);
-            t.event_resume(&info);
-            t.gauge_set(Gauge::Iteration, checkpoint.completed as u64);
-            t.gauge_set(Gauge::ClustersLive, checkpoint.clusters.len() as u64);
-            t.gauge_set_f64(Gauge::ThresholdLogT, checkpoint.log_t);
-            t.sync();
-        }
+        sink.each(|o| o.on_resume(&info));
         {
+            // The trace file already holds these iterations, and
+            // `stitch_iterations` relies on them not being written again:
+            // the replay goes to the caller's observer only.
             let _span = trace.map(|t| t.span(Phase::Resume));
-            if observer.enabled() {
-                for record in &checkpoint.records {
-                    observer.on_iteration(record);
-                }
+            for record in &checkpoint.records {
+                sink.observer.on_iteration(record);
             }
         }
 
@@ -315,8 +237,7 @@ impl Cluseq {
         let ckpt_base = p.incremental.then_some(checkpoint.completed);
         runner.drive(
             store,
-            observer,
-            trace,
+            &mut sink,
             LoopState {
                 clusters: checkpoint.clusters,
                 next_id: checkpoint.next_id,
@@ -338,6 +259,20 @@ impl Cluseq {
         )
     }
 
+    /// The run facts delivered by [`RunObserver::on_run_start`].
+    fn context(&self, store: &dyn SequenceStore) -> RunContext {
+        let p = &self.params;
+        RunContext {
+            sequences: store.len(),
+            alphabet_size: store.alphabet().len(),
+            threads: p.threads,
+            scan_mode: p.scan_mode,
+            scan_kernel: p.scan_kernel,
+            seed: p.seed,
+            initial_log_t: p.initial_threshold.ln(),
+        }
+    }
+
     /// The iteration loop proper, shared by fresh and resumed runs: seeds,
     /// scans, consolidates, adjusts the threshold, and — when a
     /// [`crate::CheckpointPolicy`] is configured — writes a checkpoint at
@@ -345,11 +280,11 @@ impl Cluseq {
     fn drive(
         &self,
         store: &dyn SequenceStore,
-        observer: &mut dyn RunObserver,
-        trace: Option<&TraceSession>,
+        sink: &mut EventSink<'_>,
         mut st: LoopState,
     ) -> CluseqOutcome {
         let p = &self.params;
+        let trace = sink.trace;
         let run_start = std::time::Instant::now();
         let background = store.background();
         let pst_params = p.pst_params();
@@ -418,15 +353,15 @@ impl Cluseq {
             drop(seed_span);
 
             // ---- 2. Re-clustering scan (§4.2) ----
-            // Records are assembled for a live observer *or* for the
-            // checkpoint stream — a resumed run must be able to replay
-            // them into any observer, so they cannot depend on the
+            // Records carry their snapshots for an enabled observer *or*
+            // for the checkpoint stream — a resumed run must be able to
+            // replay them into any observer, so they cannot depend on the
             // original run's observer being enabled. Computed before the
             // scan because it also gates early-exit pruning: a recorded
             // iteration feeds every similarity into its histogram
             // snapshot, so pruning is only allowed once the threshold is
             // frozen *and* nothing is being recorded.
-            let record_iteration = observer.enabled() || p.checkpoint.is_some();
+            let record_iteration = sink.enabled() || p.checkpoint.is_some();
             let order = p.order.sequence_order(n, &st.prev_best, &mut st.rng);
             // The histogram feed is read below iff the threshold is still
             // live or the iteration is recorded; the same condition gates
@@ -460,14 +395,16 @@ impl Cluseq {
             // ---- 3. Consolidation (§4.5) ----
             let consolidate_start = std::time::Instant::now();
             let mut merge_targets = Vec::new();
-            let consolidation = consolidate_traced(
-                &mut st.clusters,
-                p.effective_min_exclusive(),
-                n,
-                p.consolidation,
-                trace,
-                &mut merge_targets,
-            );
+            let consolidation = {
+                let _span = trace.map(|t| t.span(Phase::Consolidate));
+                consolidate(
+                    &mut st.clusters,
+                    p.effective_min_exclusive(),
+                    n,
+                    p.consolidation,
+                    &mut merge_targets,
+                )
+            };
             let removed = consolidation.dismissed;
             if let Some(mc) = models.as_mut() {
                 // Consolidation mutates models outside the scan: a merge
@@ -510,7 +447,7 @@ impl Cluseq {
             };
             if !st.threshold_frozen {
                 if let Some(hist) = &hist {
-                    let decision = decide_threshold_traced(st.log_t, hist, 0.01, trace);
+                    let decision = decide_threshold(st.log_t, hist, 0.01);
                     valley = decision.valley;
                     // The paper requires t >= 1 for a meaningful
                     // outlier separation; clamp the log to 0.
@@ -532,57 +469,37 @@ impl Cluseq {
                 threshold: threshold_nanos,
                 total: iter_start.elapsed().as_nanos() as u64,
             };
-            let stats = IterationStats {
+            let record = IterationRecord {
                 iteration,
-                new_clusters: k_n,
+                clusters_at_start,
+                seeding: seed_metrics,
+                scan: scan.metrics,
                 removed_clusters: removed,
+                merged_clusters: consolidation.merged,
                 clusters_at_end: st.clusters.len(),
-                membership_changes: scan.changes,
-                log_t: st.log_t,
+                histogram: hist
+                    .as_ref()
+                    .filter(|_| record_iteration)
+                    .map(HistogramSnapshot::capture),
+                valley,
+                log_t_before,
+                log_t_after: st.log_t,
                 threshold_moved: moved,
+                clusters: if record_iteration {
+                    cluster_snapshots(&st.clusters, n)
+                } else {
+                    Vec::new()
+                },
+                timings: phase_nanos,
             };
-            if record_iteration {
-                let exclusive = exclusive_member_counts(&st.clusters, n);
-                let cluster_snapshots = st
-                    .clusters
-                    .iter()
-                    .zip(&exclusive)
-                    .map(|(c, &ex)| {
-                        let f = c.pst.footprint();
-                        ClusterSnapshot {
-                            id: c.id,
-                            members: c.size(),
-                            exclusive_members: ex,
-                            pst_nodes: f.nodes,
-                            pst_bytes: f.bytes,
-                            pst_total_count: f.total_count,
-                        }
-                    })
-                    .collect();
-                let record = IterationRecord {
-                    iteration,
-                    clusters_at_start,
-                    seeding: seed_metrics,
-                    scan: scan.metrics,
-                    removed_clusters: removed,
-                    merged_clusters: consolidation.merged,
-                    clusters_at_end: st.clusters.len(),
-                    histogram: hist.as_ref().map(HistogramSnapshot::capture),
-                    valley,
-                    log_t_before,
-                    log_t_after: st.log_t,
-                    threshold_moved: moved,
-                    clusters: cluster_snapshots,
-                    timings: phase_nanos,
-                };
-                if observer.enabled() {
-                    observer.on_iteration(&record);
-                }
-                if p.checkpoint.is_some() {
-                    st.records.push(record);
-                }
+            st.history.push(record.stats());
+            // A traced iteration is written and fsynced here, *before* any
+            // checkpoint write, so the trace on disk always covers at
+            // least as many iterations as any checkpoint.
+            sink.each(|o| o.on_iteration(&record));
+            if p.checkpoint.is_some() {
+                st.records.push(record);
             }
-            st.history.push(stats);
 
             // ---- Termination (§4): the clustering is a fixpoint ----
             // A fixpoint requires the threshold to have settled too: if t
@@ -598,36 +515,6 @@ impl Cluseq {
             st.prev_removed = removed;
             st.prev_cluster_count = st.clusters.len();
             st.prev_best = scan.best_cluster;
-
-            // ---- Trace boundary ----
-            // The iteration event is emitted and fsynced *before* any
-            // checkpoint write, so the trace on disk always covers at
-            // least as many iterations as any checkpoint.
-            if let Some(t) = trace {
-                t.add(Counter::SeedCandidatesSampled, seed_metrics.sampled as u64);
-                t.add(Counter::SeedsChosen, k_n as u64);
-                t.gauge_set(Gauge::Iteration, iteration as u64 + 1);
-                t.gauge_set(Gauge::ClustersLive, st.clusters.len() as u64);
-                t.gauge_set_f64(Gauge::ThresholdLogT, st.log_t);
-                t.observe(HistKind::IterationWall, 0, trace::nanos_since(iter_start));
-                t.event_iteration(&IterationEvent {
-                    iteration,
-                    clusters_at_start,
-                    new_clusters: k_n,
-                    removed_clusters: removed,
-                    clusters_live: st.clusters.len(),
-                    membership_changes: scan.changes,
-                    pairs_scored: scan.metrics.pairs_scored,
-                    pairs_pruned: scan.metrics.pairs_pruned,
-                    pairs_reused: scan.metrics.pairs_reused,
-                    joins: scan.metrics.joins,
-                    new_joins: scan.metrics.new_joins,
-                    log_t: st.log_t,
-                    threshold_moved: moved,
-                    phases: phase_nanos,
-                });
-                t.sync();
-            }
 
             // ---- Checkpoint (crash safety; see `crate::checkpoint`) ----
             // Written after the state advance so the file captures exactly
@@ -671,14 +558,14 @@ impl Cluseq {
                     // write keeps the old base and its changed-set, so
                     // the next attempt still references a file that
                     // exists.
-                    let result = match st.ckpt_base.filter(|_| p.incremental) {
-                        Some(base) => ckpt.write_atomic_delta_traced(
-                            &path,
-                            base,
-                            &st.changed_since_base,
-                            trace,
-                        ),
-                        None => ckpt.write_atomic_traced(&path, trace),
+                    let result = {
+                        let _span = trace.map(|t| t.span(Phase::CheckpointSave));
+                        match st.ckpt_base.filter(|_| p.incremental) {
+                            Some(base) => {
+                                ckpt.write_atomic_delta(&path, base, &st.changed_since_base)
+                            }
+                            None => ckpt.write_atomic(&path),
+                        }
                     };
                     let write_nanos = write_start.elapsed().as_nanos() as u64;
                     let bytes = result.as_ref().copied().unwrap_or(0);
@@ -686,17 +573,14 @@ impl Cluseq {
                         st.ckpt_base = Some(completed);
                         st.changed_since_base.clear();
                     }
-                    if let Some(t) = trace {
-                        t.event_checkpoint(completed, bytes, write_nanos, result.is_ok());
-                        t.sync();
-                    }
-                    observer.on_checkpoint(&CheckpointEvent {
+                    let event = CheckpointEvent {
                         completed,
                         path: path.to_string_lossy().into_owned(),
                         bytes,
                         write_nanos,
                         error: result.err().map(|e| e.to_string()),
-                    });
+                    };
+                    sink.each(|o| o.on_checkpoint(&event));
                 }
             }
 
@@ -718,11 +602,7 @@ impl Cluseq {
             finalize_nanos: finalize_start.elapsed().as_nanos() as u64,
             total_nanos: run_start.elapsed().as_nanos() as u64,
         };
-        observer.on_run_end(&summary);
-        if let Some(t) = trace {
-            t.event_run_end(&summary);
-            t.sync();
-        }
+        sink.each(|o| o.on_run_end(&summary));
         outcome
     }
 
@@ -848,6 +728,52 @@ fn growth_count(current_clusters: usize, prev_new: usize, prev_removed: usize) -
     (current_clusters as f64 * f).round() as usize
 }
 
+/// The driver's one event sink: each run event goes to the caller's
+/// observer and, when tracing, to the trace session, which observes the
+/// same events.
+struct EventSink<'a> {
+    observer: &'a mut dyn RunObserver,
+    trace: Option<&'a TraceSession>,
+}
+
+impl EventSink<'_> {
+    /// Whether any observer wants full records (see
+    /// [`RunObserver::enabled`]). The session never does, so tracing
+    /// alone leaves scan pruning on.
+    fn enabled(&self) -> bool {
+        self.observer.enabled() || self.trace.is_some_and(|t| t.enabled())
+    }
+
+    /// Delivers one event to the observer, then to the session.
+    fn each(&mut self, mut deliver: impl FnMut(&mut dyn RunObserver)) {
+        deliver(&mut *self.observer);
+        if let Some(mut session) = self.trace {
+            deliver(&mut session);
+        }
+    }
+}
+
+/// Each surviving cluster's shape at the end of an iteration, in slot
+/// order.
+fn cluster_snapshots(clusters: &[Cluster], n: usize) -> Vec<ClusterSnapshot> {
+    let exclusive = exclusive_member_counts(clusters, n);
+    clusters
+        .iter()
+        .zip(&exclusive)
+        .map(|(c, &ex)| {
+            let f = c.pst.footprint();
+            ClusterSnapshot {
+                id: c.id,
+                members: c.size(),
+                exclusive_members: ex,
+                pst_nodes: f.nodes,
+                pst_bytes: f.bytes,
+                pst_total_count: f.total_count,
+            }
+        })
+        .collect()
+}
+
 fn unclustered_ids(n: usize, clusters: &[Cluster]) -> Vec<usize> {
     let mut clustered = vec![false; n];
     for c in clusters {
@@ -858,8 +784,6 @@ fn unclustered_ids(n: usize, clusters: &[Cluster]) -> Vec<usize> {
     (0..n).filter(|&i| !clustered[i]).collect()
 }
 
-/// Builds the §4.6 similarity histogram. The domain is clipped at the
-/// 98th percentile: a handful of extreme member-to-own-cluster scores
 /// Builds the §4.6 similarity histogram over the full observed range, as
 /// the paper specifies ("the granularity of the histogram is 1/n of the
 /// domain"). Robust-clipping variants (drop values past a percentile or a
@@ -1018,27 +942,12 @@ mod tests {
     }
 
     #[test]
-    fn progress_callback_sees_every_iteration_in_order() {
-        let db = two_cluster_db();
-        let mut seen: Vec<usize> = Vec::new();
-        let outcome = Cluseq::new(base_params()).run_with_progress(&db, |stats| {
-            seen.push(stats.iteration);
-        });
-        assert_eq!(seen.len(), outcome.iterations);
-        for (i, &it) in seen.iter().enumerate() {
-            assert_eq!(it, i);
-        }
-        // The callback saw exactly what the history records.
-        assert_eq!(seen.len(), outcome.history.len());
-    }
-
-    #[test]
     fn observed_run_matches_plain_run_and_records_every_iteration() {
         use crate::telemetry::RunReport;
         let db = two_cluster_db();
         let plain = Cluseq::new(base_params()).run(&db);
         let mut report = RunReport::new();
-        let observed = Cluseq::new(base_params()).run_observed(&db, &mut report);
+        let observed = Cluseq::new(base_params()).run_traced(&db, &mut report, None);
 
         // Observation must not perturb the clustering.
         assert_eq!(plain.best_cluster, observed.best_cluster);

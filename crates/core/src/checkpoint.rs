@@ -223,7 +223,7 @@ impl Checkpoint {
     /// The caller guarantees `base < self.completed` and that every live
     /// cluster absent from `changed` is byte-identical in the base chain —
     /// the driver's dirty-cluster tracking provides exactly that. Prefer
-    /// [`Checkpoint::write_atomic_delta_traced`] for on-disk writes.
+    /// [`Checkpoint::write_atomic_delta`] for on-disk writes.
     pub fn save_delta(
         &self,
         w: &mut impl Write,
@@ -607,56 +607,6 @@ impl Checkpoint {
         changed: &BTreeSet<usize>,
     ) -> io::Result<u64> {
         self.write_atomic_delta_with(path, base, changed, &FailPlan::none())
-    }
-
-    /// [`Checkpoint::write_atomic`] under a `checkpoint_save` span, with
-    /// the write attempt, its outcome, its byte count, and its wall time
-    /// recorded in the tracing registry. The write itself is identical.
-    pub fn write_atomic_traced(
-        &self,
-        path: &Path,
-        trace: Option<&crate::trace::TraceSession>,
-    ) -> io::Result<u64> {
-        self.traced_write(path, trace, None)
-    }
-
-    /// The delta counterpart of [`Checkpoint::write_atomic_traced`] — the
-    /// driver's cadence writes when the incremental engine has a live base.
-    pub fn write_atomic_delta_traced(
-        &self,
-        path: &Path,
-        base: usize,
-        changed: &BTreeSet<usize>,
-        trace: Option<&crate::trace::TraceSession>,
-    ) -> io::Result<u64> {
-        self.traced_write(path, trace, Some((base, changed)))
-    }
-
-    fn traced_write(
-        &self,
-        path: &Path,
-        trace: Option<&crate::trace::TraceSession>,
-        delta: Option<(usize, &BTreeSet<usize>)>,
-    ) -> io::Result<u64> {
-        use crate::trace::{Counter, HistKind, Phase};
-        let plan = FailPlan::none();
-        let Some(trace) = trace else {
-            return self.write_atomic_inner(path, &plan, delta);
-        };
-        let _span = trace.span(Phase::CheckpointSave);
-        let start = std::time::Instant::now();
-        let result = self.write_atomic_inner(path, &plan, delta);
-        trace.add(Counter::CheckpointWrites, 1);
-        trace.observe(
-            HistKind::CheckpointWrite,
-            0,
-            crate::trace::nanos_since(start),
-        );
-        match &result {
-            Ok(bytes) => trace.add(Counter::CheckpointBytes, *bytes),
-            Err(_) => trace.add(Counter::CheckpointFailures, 1),
-        }
-        result
     }
 
     /// [`Checkpoint::write_atomic`] with fault injection: every byte of

@@ -8,53 +8,16 @@
 
 use crate::cluster::Cluster;
 use crate::config::ConsolidationMode;
-use crate::trace::{Counter, Phase, TraceSession};
 
-/// Dismisses covered clusters in ascending size order (the paper's rule).
-/// Returns the number of clusters removed. See [`consolidate_with_mode`]
-/// for the merge extension.
-///
-/// `min_exclusive` is the smallest exclusive-member count a cluster must
-/// keep to survive (the paper's `< c` rule).
-///
-/// A sequence's "coverage" is the number of retained clusters containing
-/// it; a member is exclusive to a cluster when its coverage is exactly 1.
-/// Removing a cluster immediately returns its members' coverage to the
-/// pool, so a larger duplicate examined later is *not* also removed.
-pub fn consolidate(
-    clusters: &mut Vec<Cluster>,
-    min_exclusive: usize,
-    total_sequences: usize,
-) -> usize {
-    consolidate_with_mode(
-        clusters,
-        min_exclusive,
-        total_sequences,
-        ConsolidationMode::Dismiss,
-    )
-}
-
-/// What [`consolidate_detailed`] did: how many clusters were dismissed,
-/// and how many of those had their models merged into a covering cluster
-/// (always 0 under [`ConsolidationMode::Dismiss`]).
+/// What [`consolidate`] did: how many clusters were dismissed, and how
+/// many of those had their models merged into a covering cluster (always
+/// 0 under [`ConsolidationMode::Dismiss`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ConsolidationOutcome {
     /// Clusters removed from the pool.
     pub dismissed: usize,
     /// Removed clusters whose PST was folded into an overlapping survivor.
     pub merged: usize,
-}
-
-/// [`consolidate`] with an explicit failure mode: dismissed clusters can
-/// instead have their models merged into the retained cluster they overlap
-/// most (an extension — the paper always dismisses).
-pub fn consolidate_with_mode(
-    clusters: &mut Vec<Cluster>,
-    min_exclusive: usize,
-    total_sequences: usize,
-    mode: ConsolidationMode,
-) -> usize {
-    consolidate_detailed(clusters, min_exclusive, total_sequences, mode).dismissed
 }
 
 /// Per-cluster exclusive-member counts: for each cluster, how many of its
@@ -74,55 +37,23 @@ pub fn exclusive_member_counts(clusters: &[Cluster], total_sequences: usize) -> 
         .collect()
 }
 
-/// [`consolidate_detailed`] under a `consolidate` span, recording the
-/// dismissed/merged counts into the tracing registry. The consolidation
-/// itself is identical with or without a session.
-pub fn consolidate_traced(
-    clusters: &mut Vec<Cluster>,
-    min_exclusive: usize,
-    total_sequences: usize,
-    mode: ConsolidationMode,
-    trace: Option<&TraceSession>,
-    merge_targets: &mut Vec<usize>,
-) -> ConsolidationOutcome {
-    let _span = trace.map(|t| t.span(Phase::Consolidate));
-    let outcome = consolidate_tracked(
-        clusters,
-        min_exclusive,
-        total_sequences,
-        mode,
-        merge_targets,
-    );
-    if let Some(trace) = trace {
-        trace.add(Counter::ClustersDismissed, outcome.dismissed as u64);
-        trace.add(Counter::ClustersMerged, outcome.merged as u64);
-    }
-    outcome
-}
-
-/// [`consolidate_with_mode`], additionally reporting how many of the
-/// dismissed clusters were merged (see [`ConsolidationOutcome`]).
-pub fn consolidate_detailed(
-    clusters: &mut Vec<Cluster>,
-    min_exclusive: usize,
-    total_sequences: usize,
-    mode: ConsolidationMode,
-) -> ConsolidationOutcome {
-    let mut merge_targets = Vec::new();
-    consolidate_tracked(
-        clusters,
-        min_exclusive,
-        total_sequences,
-        mode,
-        &mut merge_targets,
-    )
-}
-
-/// [`consolidate_detailed`] that also appends to `merge_targets` the id of
-/// every surviving cluster a dismissed model was merged *into*. Those
-/// clusters' models changed without any scan activity, so the incremental
-/// engine must treat them as dirty (see [`crate::incremental`]).
-pub fn consolidate_tracked(
+/// Dismisses covered clusters in ascending size order (the paper's rule).
+///
+/// `min_exclusive` is the smallest exclusive-member count a cluster must
+/// keep to survive (the paper's `< c` rule).
+///
+/// A sequence's "coverage" is the number of retained clusters containing
+/// it; a member is exclusive to a cluster when its coverage is exactly 1.
+/// Removing a cluster immediately returns its members' coverage to the
+/// pool, so a larger duplicate examined later is *not* also removed.
+///
+/// Under [`ConsolidationMode::MergeIntoCovering`] (an extension — the
+/// paper always dismisses) a dismissed cluster's model is instead merged
+/// into the retained cluster it overlaps most, and that cluster's id is
+/// appended to `merge_targets`: its model changed without any scan
+/// activity, so the incremental engine must treat it as dirty (see
+/// [`crate::incremental`]).
+pub fn consolidate(
     clusters: &mut Vec<Cluster>,
     min_exclusive: usize,
     total_sequences: usize,
@@ -230,6 +161,25 @@ mod tests {
         c
     }
 
+    /// Consolidates 10 sequences' clusters under `mode`, returning the
+    /// outcome and the merge targets.
+    fn run(
+        clusters: &mut Vec<Cluster>,
+        min_exclusive: usize,
+        mode: ConsolidationMode,
+    ) -> (ConsolidationOutcome, Vec<usize>) {
+        let mut merge_targets = Vec::new();
+        let out = consolidate(clusters, min_exclusive, 10, mode, &mut merge_targets);
+        (out, merge_targets)
+    }
+
+    /// Dismiss-mode consolidation, returning the dismissed count.
+    fn dismiss(clusters: &mut Vec<Cluster>, min_exclusive: usize) -> usize {
+        run(clusters, min_exclusive, ConsolidationMode::Dismiss)
+            .0
+            .dismissed
+    }
+
     #[test]
     fn duplicate_cluster_is_dismissed() {
         // Two clusters over the same members: the smaller/newer one dies.
@@ -237,7 +187,7 @@ mod tests {
             make_cluster(0, vec![0, 1, 2, 3, 4]),
             make_cluster(1, vec![0, 1, 2, 3]),
         ];
-        let removed = consolidate(&mut clusters, 2, 10);
+        let removed = dismiss(&mut clusters, 2);
         assert_eq!(removed, 1);
         assert_eq!(clusters.len(), 1);
         assert_eq!(clusters[0].id, 0);
@@ -249,7 +199,7 @@ mod tests {
             make_cluster(0, vec![0, 1, 2]),
             make_cluster(1, vec![3, 4, 5]),
         ];
-        let removed = consolidate(&mut clusters, 2, 10);
+        let removed = dismiss(&mut clusters, 2);
         assert_eq!(removed, 0);
         assert_eq!(clusters.len(), 2);
     }
@@ -261,7 +211,7 @@ mod tests {
             make_cluster(0, vec![0, 1, 2, 3, 4]),
             make_cluster(1, vec![3, 4, 5]),
         ];
-        let removed = consolidate(&mut clusters, 2, 10);
+        let removed = dismiss(&mut clusters, 2);
         assert_eq!(removed, 1);
         assert_eq!(clusters[0].id, 0);
     }
@@ -272,7 +222,7 @@ mod tests {
             make_cluster(0, vec![0, 1, 2, 3, 4]),
             make_cluster(1, vec![3, 4, 5, 6]),
         ];
-        let removed = consolidate(&mut clusters, 2, 10);
+        let removed = dismiss(&mut clusters, 2);
         assert_eq!(removed, 0, "two exclusive members (5, 6) suffice");
     }
 
@@ -285,7 +235,7 @@ mod tests {
             make_cluster(1, vec![0, 1, 2, 3]),
             make_cluster(2, vec![0, 1, 2, 3]),
         ];
-        let removed = consolidate(&mut clusters, 2, 10);
+        let removed = dismiss(&mut clusters, 2);
         assert_eq!(removed, 2);
         assert_eq!(clusters.len(), 1);
     }
@@ -293,7 +243,7 @@ mod tests {
     #[test]
     fn empty_cluster_is_always_dismissed() {
         let mut clusters = vec![make_cluster(0, vec![0, 1, 2]), make_cluster(1, vec![])];
-        let removed = consolidate(&mut clusters, 1, 10);
+        let removed = dismiss(&mut clusters, 1);
         assert_eq!(removed, 1);
         assert_eq!(clusters[0].id, 0);
     }
@@ -301,7 +251,7 @@ mod tests {
     #[test]
     fn no_clusters_is_a_noop() {
         let mut clusters: Vec<Cluster> = Vec::new();
-        assert_eq!(consolidate(&mut clusters, 2, 10), 0);
+        assert_eq!(dismiss(&mut clusters, 2), 0);
     }
 
     #[test]
@@ -317,9 +267,8 @@ mod tests {
         let survivor_count_before = clusters[0].pst.total_count();
         let doomed_count = clusters[1].pst.total_count();
 
-        let removed =
-            consolidate_with_mode(&mut clusters, 2, 10, ConsolidationMode::MergeIntoCovering);
-        assert_eq!(removed, 1);
+        let (out, _) = run(&mut clusters, 2, ConsolidationMode::MergeIntoCovering);
+        assert_eq!(out.dismissed, 1);
         assert_eq!(clusters.len(), 1);
         assert_eq!(clusters[0].id, 0);
         assert_eq!(
@@ -336,7 +285,7 @@ mod tests {
             make_cluster(1, vec![0, 1, 2, 3]),
         ];
         let survivor_count_before = clusters[0].pst.total_count();
-        consolidate_with_mode(&mut clusters, 2, 10, ConsolidationMode::Dismiss);
+        assert_eq!(dismiss(&mut clusters, 2), 1);
         assert_eq!(clusters[0].pst.total_count(), survivor_count_before);
     }
 
@@ -345,36 +294,21 @@ mod tests {
         // An empty failing cluster shares nothing; nothing to merge into.
         let mut clusters = vec![make_cluster(0, vec![0, 1, 2]), make_cluster(1, vec![])];
         let before = clusters[0].pst.total_count();
-        let removed =
-            consolidate_with_mode(&mut clusters, 1, 10, ConsolidationMode::MergeIntoCovering);
-        assert_eq!(removed, 1);
+        let (out, _) = run(&mut clusters, 1, ConsolidationMode::MergeIntoCovering);
+        assert_eq!(out.dismissed, 1);
         assert_eq!(clusters[0].pst.total_count(), before);
     }
 
     #[test]
     fn detailed_outcome_counts_merges() {
+        // Merge mode reports the surviving cluster that received the
+        // dismissed model.
         let mut clusters = vec![
             make_cluster(0, vec![0, 1, 2, 3, 4]),
             make_cluster(1, vec![0, 1, 2, 3]),
         ];
-        let out = consolidate_detailed(&mut clusters, 2, 10, ConsolidationMode::MergeIntoCovering);
+        let (out, merge_targets) = run(&mut clusters, 2, ConsolidationMode::MergeIntoCovering);
         assert_eq!(out.dismissed, 1);
-        assert_eq!(out.merged, 1);
-
-        // The tracked variant reports the surviving cluster that received
-        // the dismissed model.
-        let mut clusters = vec![
-            make_cluster(0, vec![0, 1, 2, 3, 4]),
-            make_cluster(1, vec![0, 1, 2, 3]),
-        ];
-        let mut merge_targets = Vec::new();
-        let out = consolidate_tracked(
-            &mut clusters,
-            2,
-            10,
-            ConsolidationMode::MergeIntoCovering,
-            &mut merge_targets,
-        );
         assert_eq!(out.merged, 1);
         assert_eq!(merge_targets, vec![0]);
 
@@ -383,48 +317,16 @@ mod tests {
             make_cluster(0, vec![0, 1, 2, 3, 4]),
             make_cluster(1, vec![0, 1, 2, 3]),
         ];
-        let out = consolidate_detailed(&mut clusters, 2, 10, ConsolidationMode::Dismiss);
+        let (out, merge_targets) = run(&mut clusters, 2, ConsolidationMode::Dismiss);
         assert_eq!(out.dismissed, 1);
         assert_eq!(out.merged, 0);
+        assert!(merge_targets.is_empty());
 
         // No overlap: dismissed but not merged.
         let mut clusters = vec![make_cluster(0, vec![0, 1, 2]), make_cluster(1, vec![])];
-        let out = consolidate_detailed(&mut clusters, 1, 10, ConsolidationMode::MergeIntoCovering);
+        let (out, _) = run(&mut clusters, 1, ConsolidationMode::MergeIntoCovering);
         assert_eq!(out.dismissed, 1);
         assert_eq!(out.merged, 0);
-    }
-
-    #[test]
-    fn traced_consolidation_matches_and_counts() {
-        use crate::trace::{Counter, TraceSession};
-        let make = || {
-            vec![
-                make_cluster(0, vec![0, 1, 2, 3, 4]),
-                make_cluster(1, vec![0, 1, 2, 3]),
-            ]
-        };
-        let mut plain = make();
-        let expected = consolidate_detailed(&mut plain, 2, 10, ConsolidationMode::Dismiss);
-        let session = TraceSession::in_memory();
-        let mut traced = make();
-        let mut merge_targets = Vec::new();
-        let out = consolidate_traced(
-            &mut traced,
-            2,
-            10,
-            ConsolidationMode::Dismiss,
-            Some(&session),
-            &mut merge_targets,
-        );
-        assert_eq!(out, expected);
-        assert!(merge_targets.is_empty(), "dismiss mode never merges");
-        assert_eq!(traced.len(), plain.len());
-        assert_eq!(session.counter(Counter::ClustersDismissed), 1);
-        assert_eq!(session.counter(Counter::ClustersMerged), 0);
-        assert_eq!(
-            session.phase_stats(crate::trace::Phase::Consolidate).count,
-            1
-        );
     }
 
     #[test]
@@ -445,7 +347,7 @@ mod tests {
             make_cluster(0, vec![0, 1]),
             make_cluster(1, vec![0, 1, 2, 3, 4, 5]),
         ];
-        let removed = consolidate(&mut clusters, 2, 10);
+        let removed = dismiss(&mut clusters, 2);
         assert_eq!(removed, 1);
         assert_eq!(clusters[0].id, 1);
     }

@@ -39,9 +39,13 @@
 //! ```
 //!
 //! To watch a run instead of just reading its end state, pass a
-//! [`telemetry::RunObserver`] to [`Cluseq::run_observed`] — the bundled
+//! [`telemetry::RunObserver`] to [`Cluseq::run_traced`] — the bundled
 //! [`telemetry::RunReport`] records per-iteration phase timings, cluster
-//! lifecycle counts, threshold trajectory, and model sizes.
+//! lifecycle counts, threshold trajectory, and model sizes. The driver
+//! emits each run event once: a [`TraceSession`] passed alongside
+//! observes the same events, writing them as a JSONL stream and keeping
+//! the live metrics registry (`run_traced(&db, &mut report, None)` runs
+//! untraced).
 
 #![warn(missing_docs)]
 

@@ -21,7 +21,8 @@ use crate::similarity::{max_similarity_pst, BoundedSimilarity};
 use crate::telemetry::SeedingMetrics;
 use crate::trace::{Phase, TraceSession};
 
-/// Selects up to `k_n` seed sequence ids from `unclustered`.
+/// Selects up to `k_n` seed sequence ids from `unclustered`, with the
+/// [`SeedingMetrics`] the telemetry layer records.
 ///
 /// Returns fewer than `k_n` seeds when there are not enough unclustered
 /// sequences (or when `k_n` is 0).
@@ -30,38 +31,6 @@ use crate::trace::{Phase, TraceSession};
 /// through [`crate::score::parallel_map`] with `threads` workers; the
 /// selection itself (and the RNG draw for the sample) is identical for any
 /// thread count.
-#[allow(clippy::too_many_arguments)] // internal driver call, mirrors §4.1's inputs
-pub fn select_seeds(
-    store: &dyn SequenceStore,
-    background: &BackgroundModel,
-    clusters: &[Cluster],
-    unclustered: &[usize],
-    k_n: usize,
-    sample_factor: usize,
-    pst_params: PstParams,
-    threads: usize,
-    kernel: ScanKernel,
-    rng: &mut impl Rng,
-) -> Vec<usize> {
-    select_seeds_detailed(
-        store,
-        background,
-        clusters,
-        unclustered,
-        k_n,
-        sample_factor,
-        pst_params,
-        threads,
-        kernel,
-        rng,
-        None,
-    )
-    .0
-}
-
-/// [`select_seeds`] plus the [`SeedingMetrics`] the telemetry layer
-/// records. Draws from `rng` exactly as [`select_seeds`] does, so the two
-/// are interchangeable without perturbing downstream RNG state.
 ///
 /// Under the compiled kernel the candidate scoring runs on prebuilt
 /// automata with threshold early-exit against the running farthest-first
@@ -249,7 +218,7 @@ mod tests {
         let (db, bg) = fixture();
         let mut rng = StdRng::seed_from_u64(3);
         let all: Vec<usize> = (0..db.len()).collect();
-        let seeds = select_seeds(
+        let seeds = select_seeds_detailed(
             &db,
             &bg,
             &[],
@@ -260,7 +229,9 @@ mod tests {
             1,
             ScanKernel::Interpreted,
             &mut rng,
-        );
+            None,
+        )
+        .0;
         assert_eq!(seeds.len(), 3);
         // All seeds are distinct and drawn from the pool.
         let mut s = seeds.clone();
@@ -276,7 +247,7 @@ mod tests {
         let all: Vec<usize> = (0..db.len()).collect();
         // Sample everything (factor large enough) so selection is purely
         // similarity-driven.
-        let seeds = select_seeds(
+        let seeds = select_seeds_detailed(
             &db,
             &bg,
             &[],
@@ -287,7 +258,9 @@ mod tests {
             1,
             ScanKernel::Interpreted,
             &mut rng,
-        );
+            None,
+        )
+        .0;
         // The three seeds should cover the three behaviours: ab-repeats
         // (ids 0-2), c-runs (3-5), aabb-repeats (6-7).
         let groups: Vec<usize> = seeds
@@ -315,7 +288,7 @@ mod tests {
         // An existing cluster already models the ab-repeat behaviour.
         let existing = Cluster::from_seed(0, 0, db.sequence(0), db.alphabet().len(), params());
         let pool: Vec<usize> = (1..db.len()).collect();
-        let seeds = select_seeds(
+        let seeds = select_seeds_detailed(
             &db,
             &bg,
             &[existing],
@@ -326,7 +299,9 @@ mod tests {
             1,
             ScanKernel::Interpreted,
             &mut rng,
-        );
+            None,
+        )
+        .0;
         assert_eq!(seeds.len(), 1);
         assert!(
             seeds[0] >= 3,
@@ -339,7 +314,7 @@ mod tests {
     fn empty_pool_or_zero_k_yields_nothing() {
         let (db, bg) = fixture();
         let mut rng = StdRng::seed_from_u64(1);
-        assert!(select_seeds(
+        assert!(select_seeds_detailed(
             &db,
             &bg,
             &[],
@@ -349,11 +324,13 @@ mod tests {
             params(),
             1,
             ScanKernel::Interpreted,
-            &mut rng
+            &mut rng,
+            None
         )
+        .0
         .is_empty());
         let all: Vec<usize> = (0..db.len()).collect();
-        assert!(select_seeds(
+        assert!(select_seeds_detailed(
             &db,
             &bg,
             &[],
@@ -363,8 +340,10 @@ mod tests {
             params(),
             1,
             ScanKernel::Interpreted,
-            &mut rng
+            &mut rng,
+            None
         )
+        .0
         .is_empty());
     }
 
@@ -375,7 +354,7 @@ mod tests {
         let existing = Cluster::from_seed(0, 0, db.sequence(0), db.alphabet().len(), params());
         let run = |threads: usize| {
             let mut rng = StdRng::seed_from_u64(11);
-            select_seeds(
+            select_seeds_detailed(
                 &db,
                 &bg,
                 std::slice::from_ref(&existing),
@@ -386,7 +365,9 @@ mod tests {
                 threads,
                 ScanKernel::Interpreted,
                 &mut rng,
+                None,
             )
+            .0
         };
         let reference = run(1);
         for threads in [2usize, 4, 8] {
@@ -399,7 +380,7 @@ mod tests {
         let (db, bg) = fixture();
         let mut rng = StdRng::seed_from_u64(1);
         let pool = vec![0, 3];
-        let seeds = select_seeds(
+        let seeds = select_seeds_detailed(
             &db,
             &bg,
             &[],
@@ -410,17 +391,18 @@ mod tests {
             1,
             ScanKernel::Interpreted,
             &mut rng,
-        );
+            None,
+        )
+        .0;
         assert_eq!(seeds.len(), 2);
     }
 
     #[test]
-    fn detailed_selection_matches_plain_and_reports_metrics() {
+    fn detailed_selection_reports_metrics() {
         let (db, bg) = fixture();
         let all: Vec<usize> = (0..db.len()).collect();
-        let mut rng_a = StdRng::seed_from_u64(11);
-        let mut rng_b = StdRng::seed_from_u64(11);
-        let plain = select_seeds(
+        let mut rng = StdRng::seed_from_u64(11);
+        let (seeds, metrics) = select_seeds_detailed(
             &db,
             &bg,
             &[],
@@ -430,28 +412,14 @@ mod tests {
             params(),
             1,
             ScanKernel::Interpreted,
-            &mut rng_a,
-        );
-        let (detailed, metrics) = select_seeds_detailed(
-            &db,
-            &bg,
-            &[],
-            &all,
-            3,
-            2,
-            params(),
-            1,
-            ScanKernel::Interpreted,
-            &mut rng_b,
+            &mut rng,
             None,
         );
-        assert_eq!(plain, detailed, "identical RNG draws, identical seeds");
-        // Both consumed the same amount of RNG state.
-        assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>());
         assert_eq!(metrics.requested, 3);
         assert_eq!(metrics.pool, db.len());
         assert_eq!(metrics.sampled, 6);
         assert_eq!(metrics.chosen, 3);
+        assert_eq!(seeds.len(), metrics.chosen);
     }
 
     #[test]
@@ -485,7 +453,7 @@ mod tests {
         let existing = Cluster::from_seed(0, 0, db.sequence(0), db.alphabet().len(), params());
         let run = |kernel: ScanKernel| {
             let mut rng = StdRng::seed_from_u64(11);
-            let seeds = select_seeds(
+            let seeds = select_seeds_detailed(
                 &db,
                 &bg,
                 std::slice::from_ref(&existing),
@@ -496,7 +464,9 @@ mod tests {
                 1,
                 kernel,
                 &mut rng,
-            );
+                None,
+            )
+            .0;
             // Both kernels must consume identical RNG state too.
             (seeds, rng.gen::<u64>())
         };

@@ -40,8 +40,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crate::telemetry::JsonWriter;
-use crate::trace::sink::JsonlSink;
+use crate::trace::sink::{append_event, JsonlSink};
 use crate::trace::{Counter, HistKind, TraceShared, HIST_BUCKETS, SHARDS};
 
 /// The serve opcodes, as observability sees them (one label per opcode,
@@ -427,51 +426,31 @@ impl ServeObs {
     /// measurable, and a crash right after a tail-latency spike — the
     /// moment an operator most wants the evidence — cannot lose it.
     fn log_slow(&self, record: &RequestRecord, total: u64) {
-        let Some(slow) = &self.slow else { return };
-        let mut w = JsonWriter::new();
-        w.begin_obj();
-        w.field_str("event", "slow_request");
-        w.field_u64("request_id", record.request_id);
-        w.field_str("op", record.op.as_str());
-        w.field_str("transport", record.transport);
-        match record.generation {
-            Some(g) => w.field_u64("generation", g),
-            None => w.field_null("generation"),
-        }
-        w.field_usize("seq_len", record.seq_len);
-        w.field_bool("error", record.error);
-        w.field_u64("total_nanos", total);
-        w.field_u64("threshold_nanos", self.slow_threshold_nanos);
-        w.key("stage_nanos");
-        w.begin_obj();
-        for (name, nanos) in record.stages.named() {
-            w.field_u64(name, nanos);
-        }
-        w.end_obj();
-        w.end_obj();
-        let body = w.finish();
-        if let Ok(mut sink) = slow.lock() {
-            let _ = sink.write_event(&body);
-            let _ = sink.sync();
-        }
-    }
-
-    fn emit(&self, build: impl FnOnce(&mut JsonWriter)) {
-        let Some(sink) = &self.sink else { return };
-        let mut w = JsonWriter::new();
-        w.begin_obj();
-        build(&mut w);
-        w.end_obj();
-        let body = w.finish();
-        if let Ok(mut sink) = sink.lock() {
-            let _ = sink.write_event(&body);
-            let _ = sink.sync();
-        }
+        append_event(self.slow.as_ref(), |w| {
+            w.field_str("event", "slow_request");
+            w.field_u64("request_id", record.request_id);
+            w.field_str("op", record.op.as_str());
+            w.field_str("transport", record.transport);
+            match record.generation {
+                Some(g) => w.field_u64("generation", g),
+                None => w.field_null("generation"),
+            }
+            w.field_usize("seq_len", record.seq_len);
+            w.field_bool("error", record.error);
+            w.field_u64("total_nanos", total);
+            w.field_u64("threshold_nanos", self.slow_threshold_nanos);
+            w.key("stage_nanos");
+            w.begin_obj();
+            for (name, nanos) in record.stages.named() {
+                w.field_u64(name, nanos);
+            }
+            w.end_obj();
+        });
     }
 
     /// Emits the `serve_start` lifecycle event.
     pub fn event_serve_start(&self, addr: &str, kernel: &str, generation: u64, clusters: u32) {
-        self.emit(|w| {
+        append_event(self.sink.as_ref(), |w| {
             w.field_str("event", "serve_start");
             w.field_str("addr", addr);
             w.field_str("kernel", kernel);
@@ -482,7 +461,7 @@ impl ServeObs {
 
     /// Emits the `serve_swap` lifecycle event (after a successful swap).
     pub fn event_serve_swap(&self, generation: u64, clusters: u32) {
-        self.emit(|w| {
+        append_event(self.sink.as_ref(), |w| {
             w.field_str("event", "serve_swap");
             w.field_u64("generation", generation);
             w.field_u64("clusters", u64::from(clusters));
@@ -533,9 +512,15 @@ impl ServeObs {
             .collect();
         let hists: Vec<(&'static str, [u64; HIST_BUCKETS], u64)> = Self::SNAPSHOT_HISTS
             .iter()
-            .map(|&h| (h.as_str(), self.trace.hist_counts(h), self.trace.hist_sum(h)))
+            .map(|&h| {
+                (
+                    h.as_str(),
+                    self.trace.hist_counts(h),
+                    self.trace.hist_sum(h),
+                )
+            })
             .collect();
-        self.emit(|w| {
+        append_event(self.sink.as_ref(), |w| {
             w.field_str("event", "serve_end");
             w.key("counters");
             w.begin_obj();
@@ -614,10 +599,7 @@ mod tests {
         assert_eq!(t.counter(Counter::ServeInfo), 1);
         assert_eq!(t.counter(Counter::ServeRequests), 2);
         assert_eq!(t.counter(Counter::ServeErrors), 1);
-        assert_eq!(
-            t.hist_counts(HistKind::ServeAssign).iter().sum::<u64>(),
-            1
-        );
+        assert_eq!(t.hist_counts(HistKind::ServeAssign).iter().sum::<u64>(), 1);
         assert_eq!(t.hist_counts(HistKind::ServeAdmin).iter().sum::<u64>(), 1);
         // Every request, admin ops included, runs all five stages.
         assert_eq!(t.hist_counts(HistKind::ServeScan).iter().sum::<u64>(), 2);
@@ -717,7 +699,10 @@ mod tests {
         }
         // Counters are exact immediately; histograms lag in the buffer.
         let t = obs.registry();
-        assert_eq!(t.counter(Counter::ServeScore), u64::from(ObsLocal::FLUSH_EVERY) - 1);
+        assert_eq!(
+            t.counter(Counter::ServeScore),
+            u64::from(ObsLocal::FLUSH_EVERY) - 1
+        );
         assert_eq!(t.hist_counts(HistKind::ServeScore).iter().sum::<u64>(), 0);
         // The FLUSH_EVERY-th record drains the buffer on its own.
         obs.count(0, rec.op, rec.error);

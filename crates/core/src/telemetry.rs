@@ -7,7 +7,9 @@
 //! This module records the trajectory: a [`RunObserver`] receives one
 //! [`IterationRecord`] per completed iteration, and the provided
 //! [`RunReport`] implementation accumulates them into a serializable,
-//! human-renderable report.
+//! human-renderable report. The driver emits each run event once, to one
+//! sink: the caller's observer and, when tracing, the
+//! [`crate::trace::TraceSession`], which observes the same events.
 //!
 //! # Determinism contract
 //!
@@ -22,15 +24,16 @@
 //!
 //! # Cost when disabled
 //!
-//! The driver asks [`RunObserver::enabled`] before assembling a record;
-//! the default [`NoopObserver`] answers `false`, so a plain
-//! [`crate::Cluseq::run`] skips the per-cluster footprint walk and the
-//! histogram snapshot entirely — the hot path is unchanged.
+//! The driver asks [`RunObserver::enabled`] before filling a record's
+//! per-cluster snapshots and histogram; the default [`NoopObserver`]
+//! answers `false`, so a plain [`crate::Cluseq::run`] skips the footprint
+//! walk and the histogram snapshot entirely — the hot path is unchanged.
 
 use cluseq_eval::Histogram;
 
-use crate::config::ScanMode;
+use crate::config::{ScanKernel, ScanMode};
 use crate::outcome::IterationStats;
+use crate::trace::json::JsonWriter;
 
 /// Facts about a run known before the first iteration, delivered once via
 /// [`RunObserver::on_run_start`].
@@ -45,6 +48,9 @@ pub struct RunContext {
     pub threads: usize,
     /// The configured re-clustering scan mode.
     pub scan_mode: ScanMode,
+    /// The configured scan kernel (in the trace's `run_start` event; the
+    /// report JSON does not carry it).
+    pub scan_kernel: ScanKernel,
     /// The RNG seed.
     pub seed: u64,
     /// The initial similarity threshold, log-space.
@@ -230,12 +236,17 @@ pub struct CheckpointEvent {
 /// Where a resumed run picked up, delivered once via
 /// [`RunObserver::on_resume`] (before the replayed iteration records).
 /// Provenance only — excluded from [`RunReport::counters_json`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResumeInfo {
     /// Iterations already completed by the checkpointed run.
     pub completed: usize,
     /// Checkpoint format version the state was restored from.
     pub version: u32,
+    /// Clusters alive at the checkpoint (not in the report JSON).
+    pub clusters: usize,
+    /// The threshold at the checkpoint, log-space (not in the report
+    /// JSON).
+    pub log_t: f64,
 }
 
 /// Everything the telemetry layer knows about one completed iteration.
@@ -278,8 +289,7 @@ pub struct IterationRecord {
 
 impl IterationRecord {
     /// The lightweight per-iteration view ([`IterationStats`]) this record
-    /// extends — what [`crate::Cluseq::run_with_progress`] delivers and
-    /// [`crate::CluseqOutcome::history`] stores.
+    /// extends — what [`crate::CluseqOutcome::history`] stores.
     pub fn stats(&self) -> IterationStats {
         IterationStats {
             iteration: self.iteration,
@@ -301,10 +311,12 @@ impl IterationRecord {
 /// final assignment sweep. All methods have empty defaults, so an observer
 /// implements only what it needs.
 pub trait RunObserver {
-    /// Whether the driver should assemble full [`IterationRecord`]s. The
-    /// record assembly (per-cluster footprints, histogram snapshot) is
-    /// skipped entirely when this returns `false`, keeping the disabled
-    /// hot path free of telemetry cost. Defaults to `true`.
+    /// Whether the driver should fill each [`IterationRecord`]'s
+    /// per-cluster snapshots and histogram. When this returns `false` (and
+    /// no checkpoint needs them) both stay empty, keeping the disabled hot
+    /// path free of telemetry cost — and leaving scan pruning on once the
+    /// threshold freezes, which a kept histogram forbids. Defaults to
+    /// `true`.
     fn enabled(&self) -> bool {
         true
     }
@@ -312,10 +324,11 @@ pub trait RunObserver {
     /// Called once before the first iteration.
     fn on_run_start(&mut self, _ctx: &RunContext) {}
 
-    /// Called after each completed iteration. Not called when
-    /// [`enabled`](RunObserver::enabled) is `false`.
+    /// Called after each completed iteration. Without
+    /// [`enabled`](RunObserver::enabled) the record's `histogram` is `None`
+    /// and its `clusters` empty, unless checkpointing needed them.
     ///
-    /// A resumed run ([`crate::Cluseq::resume_observed`]) replays the
+    /// A resumed run ([`crate::Cluseq::resume_traced`]) replays the
     /// records captured in the checkpoint first, so the observer sees the
     /// full iteration sequence exactly as an uninterrupted run delivers it.
     fn on_iteration(&mut self, _record: &IterationRecord) {}
@@ -333,7 +346,7 @@ pub trait RunObserver {
 }
 
 /// The do-nothing observer behind [`crate::Cluseq::run`]: reports
-/// `enabled() == false`, so the driver skips record assembly.
+/// `enabled() == false`, so the driver skips the record's snapshots.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoopObserver;
 
@@ -361,7 +374,7 @@ impl RunObserver for NoopObserver {
 /// let outcome = Cluseq::new(
 ///     CluseqParams::default().with_significance(2).with_initial_clusters(2),
 /// )
-/// .run_observed(&db, &mut report);
+/// .run_traced(&db, &mut report, None);
 /// assert_eq!(report.iterations.len(), outcome.iterations);
 /// assert!(report.to_json().starts_with('{'));
 /// ```
@@ -385,7 +398,7 @@ pub struct RunReport {
 
 impl RunReport {
     /// An empty report, ready to be passed to
-    /// [`crate::Cluseq::run_observed`].
+    /// [`crate::Cluseq::run_traced`].
     pub fn new() -> Self {
         Self::default()
     }
@@ -657,134 +670,6 @@ impl RunObserver for RunReport {
     }
 }
 
-/// Minimal JSON emitter: tracks whether a comma is due at each nesting
-/// level; values are written through typed helpers so escaping and float
-/// formatting live in one place. Shared with [`crate::trace`], whose
-/// JSONL events use the same formatting rules.
-pub(crate) struct JsonWriter {
-    buf: String,
-    needs_comma: Vec<bool>,
-}
-
-impl JsonWriter {
-    pub(crate) fn new() -> Self {
-        Self {
-            buf: String::new(),
-            needs_comma: vec![false],
-        }
-    }
-
-    pub(crate) fn prep(&mut self) {
-        if let Some(due) = self.needs_comma.last_mut() {
-            if *due {
-                self.buf.push(',');
-            }
-            *due = true;
-        }
-    }
-
-    pub(crate) fn begin_obj(&mut self) {
-        self.prep();
-        self.buf.push('{');
-        self.needs_comma.push(false);
-    }
-
-    pub(crate) fn end_obj(&mut self) {
-        self.needs_comma.pop();
-        self.buf.push('}');
-    }
-
-    pub(crate) fn begin_arr(&mut self) {
-        self.prep();
-        self.buf.push('[');
-        self.needs_comma.push(false);
-    }
-
-    pub(crate) fn end_arr(&mut self) {
-        self.needs_comma.pop();
-        self.buf.push(']');
-    }
-
-    /// Writes `"key":` and suppresses the comma bookkeeping for the value
-    /// that follows (the value belongs to this key, not the sequence).
-    pub(crate) fn key(&mut self, key: &str) {
-        self.prep();
-        self.buf.push('"');
-        self.buf.push_str(key); // keys are in-tree identifiers, no escaping
-        self.buf.push_str("\":");
-        if let Some(due) = self.needs_comma.last_mut() {
-            *due = false;
-        }
-    }
-
-    pub(crate) fn raw_value(&mut self, v: &str) {
-        self.prep();
-        self.buf.push_str(v);
-    }
-
-    pub(crate) fn field_usize(&mut self, key: &str, v: usize) {
-        self.key(key);
-        self.raw_value(&v.to_string());
-    }
-
-    pub(crate) fn field_u64(&mut self, key: &str, v: u64) {
-        self.key(key);
-        self.raw_value(&v.to_string());
-    }
-
-    pub(crate) fn field_bool(&mut self, key: &str, v: bool) {
-        self.key(key);
-        self.raw_value(if v { "true" } else { "false" });
-    }
-
-    pub(crate) fn field_f64(&mut self, key: &str, v: f64) {
-        self.key(key);
-        self.push_f64(v);
-    }
-
-    pub(crate) fn field_null(&mut self, key: &str) {
-        self.key(key);
-        self.raw_value("null");
-    }
-
-    pub(crate) fn field_str(&mut self, key: &str, v: &str) {
-        self.key(key);
-        self.prep();
-        self.buf.push('"');
-        for ch in v.chars() {
-            match ch {
-                '"' => self.buf.push_str("\\\""),
-                '\\' => self.buf.push_str("\\\\"),
-                '\n' => self.buf.push_str("\\n"),
-                c if (c as u32) < 0x20 => {
-                    self.buf.push_str(&format!("\\u{:04x}", c as u32));
-                }
-                c => self.buf.push(c),
-            }
-        }
-        self.buf.push('"');
-    }
-
-    pub(crate) fn arr_u64(&mut self, v: u64) {
-        self.raw_value(&v.to_string());
-    }
-
-    pub(crate) fn push_f64(&mut self, v: f64) {
-        if v.is_finite() {
-            // `{:?}` is Rust's shortest round-trip float formatting; it
-            // always contains a '.' or an 'e', so the output is a valid
-            // JSON number that parses back to the same bits.
-            self.raw_value(&format!("{v:?}"));
-        } else {
-            self.raw_value("null");
-        }
-    }
-
-    pub(crate) fn finish(self) -> String {
-        self.buf
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -847,6 +732,7 @@ mod tests {
                 alphabet_size: 4,
                 threads: 2,
                 scan_mode: ScanMode::Snapshot,
+                scan_kernel: ScanKernel::Compiled,
                 seed: 7,
                 initial_log_t: 0.0005,
             }),
@@ -943,6 +829,8 @@ mod tests {
         report.resumed = Some(ResumeInfo {
             completed: 1,
             version: 1,
+            clusters: 3,
+            log_t: 0.375,
         });
         let full = report.to_json();
         assert!(full.contains("\"checkpoints\""), "{full}");

@@ -73,8 +73,7 @@ pub struct ThresholdDecision {
 
 /// One threshold-adjustment step: moves `t` (log-space) half-way toward the
 /// valley of `hist`, unless already within `tolerance` (relative, on the
-/// log scale — the paper uses 1%). Exposes the valley it found; use
-/// [`adjust_threshold`] when only the resulting threshold matters.
+/// log scale — the paper uses 1%). Exposes the valley it found.
 pub fn decide_threshold(log_t: f64, hist: &Histogram, tolerance: f64) -> ThresholdDecision {
     let Some(valley) = find_valley(hist) else {
         return ThresholdDecision {
@@ -91,33 +90,6 @@ pub fn decide_threshold(log_t: f64, hist: &Histogram, tolerance: f64) -> Thresho
         log_t: if moved { (log_t + valley) / 2.0 } else { log_t },
         moved,
     }
-}
-
-/// One threshold-adjustment step; see [`decide_threshold`] for the variant
-/// that also reports the valley. Returns the new threshold and whether it
-/// actually moved.
-pub fn adjust_threshold(log_t: f64, hist: &Histogram, tolerance: f64) -> (f64, bool) {
-    let d = decide_threshold(log_t, hist, tolerance);
-    (d.log_t, d.moved)
-}
-
-/// [`decide_threshold`], additionally counting a `threshold_moves` event
-/// in the tracing registry when the step moved the threshold. The caller
-/// holds the surrounding `threshold` span (which also covers building the
-/// histogram this function receives). The decision itself is unchanged.
-pub fn decide_threshold_traced(
-    log_t: f64,
-    hist: &Histogram,
-    tolerance: f64,
-    trace: Option<&crate::trace::TraceSession>,
-) -> ThresholdDecision {
-    let decision = decide_threshold(log_t, hist, tolerance);
-    if let Some(trace) = trace {
-        if decision.moved {
-            trace.add(crate::trace::Counter::ThresholdMoves, 1);
-        }
-    }
-    decision
 }
 
 #[cfg(test)]
@@ -176,9 +148,9 @@ mod tests {
     fn adjustment_moves_halfway() {
         let h = figure3_histogram();
         let valley = find_valley(&h).unwrap();
-        let (t, moved) = adjust_threshold(0.0, &h, 0.01);
-        assert!(moved);
-        assert!((t - valley / 2.0).abs() < 1e-9);
+        let d = decide_threshold(0.0, &h, 0.01);
+        assert!(d.moved);
+        assert!((d.log_t - valley / 2.0).abs() < 1e-9);
     }
 
     #[test]
@@ -187,9 +159,9 @@ mod tests {
         let valley = find_valley(&h).unwrap();
         let mut t = 0.0;
         for _ in 0..40 {
-            let (next, moved) = adjust_threshold(t, &h, 0.01);
-            t = next;
-            if !moved {
+            let d = decide_threshold(t, &h, 0.01);
+            t = d.log_t;
+            if !d.moved {
                 break;
             }
         }
@@ -203,9 +175,9 @@ mod tests {
     fn adjustment_stops_within_tolerance() {
         let h = figure3_histogram();
         let valley = find_valley(&h).unwrap();
-        let (t, moved) = adjust_threshold(valley * 0.999, &h, 0.01);
-        assert!(!moved);
-        assert_eq!(t, valley * 0.999);
+        let d = decide_threshold(valley * 0.999, &h, 0.01);
+        assert!(!d.moved);
+        assert_eq!(d.log_t, valley * 0.999);
     }
 
     #[test]

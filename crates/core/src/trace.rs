@@ -8,6 +8,21 @@
 //! served by a `std::net::TcpListener` thread — no dependencies beyond
 //! `std`.
 //!
+//! # One event path
+//!
+//! The driver emits each run event once — run start, resume, iteration,
+//! checkpoint, run end — to one sink that forwards it to the caller's
+//! [`RunObserver`] and, when tracing, to the session: `&TraceSession` is
+//! itself a [`RunObserver`]. From those events the session writes the
+//! JSONL stream (each event fsynced before the driver moves on) and keeps
+//! the run-level registry entries: seeding, consolidation, threshold and
+//! checkpoint counters, the gauges, and the iteration and checkpoint
+//! histograms. The per-pair scan and scoring counters stay where they are
+//! computed, in the re-clustering scan, the scoring workers and the final
+//! sweep. Every metric is declared once, in one table per kind
+//! ([`Phase`], [`Counter`], [`Gauge`], [`HistKind`]), which supplies its
+//! name, its help text and its registry slot.
+//!
 //! # Zero cost when disabled
 //!
 //! Tracing is session-scoped, never global: every instrumented call site
@@ -18,12 +33,14 @@
 //!
 //! # Determinism contract
 //!
-//! Tracing must never perturb the clustering. Counters are recorded at the
-//! sites that already compute them (the re-clustering scan state and
-//! the scoring workers) and merged into the registry either per worker
-//! shard (u64 sums are order-independent) or at the phase barrier at the
-//! end of each scan, so registry totals are **bit-identical across thread
-//! counts** and equal to the [`crate::telemetry::RunReport`] counters —
+//! Tracing must never perturb the clustering. The session answers
+//! [`RunObserver::enabled`] with `false`, so tracing never makes the
+//! driver keep histograms it would otherwise drop (which would switch scan
+//! pruning off). Counters are recorded at the sites that already compute
+//! them and merged into the registry either per worker shard (u64 sums
+//! are order-independent) or at the phase barrier at the end of each scan,
+//! so registry totals are **bit-identical across thread counts** and
+//! equal to the [`crate::telemetry::RunReport`] counters —
 //! `tests/trace_stream.rs` enforces both equalities, plus byte-identity of
 //! the clustering output with tracing on vs off.
 //!
@@ -60,8 +77,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::config::ScanKernel;
-use crate::telemetry::{JsonWriter, PhaseNanos, ResumeInfo, RunContext, RunSummary};
+use crate::telemetry::{
+    CheckpointEvent, IterationRecord, ResumeInfo, RunContext, RunObserver, RunSummary,
+};
 
 /// Shards in the per-thread counter registry. Scoring workers map their
 /// contiguous index chunk to a shard, so concurrent workers never touch
@@ -96,320 +114,166 @@ pub fn shard_for(pos: usize, chunk: usize) -> usize {
     pos.checked_div(chunk).map_or(0, |w| w.min(SHARDS - 1))
 }
 
-/// One phase of the iteration loop, the unit of span aggregation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
-    /// One whole loop iteration (parent of the per-phase spans).
-    Iteration,
-    /// Seed sampling, candidate models, farthest-first selection (§4.1).
-    Seeding,
-    /// The scoring passes inside seeding (nested under [`Phase::Seeding`]).
-    SeedingScore,
-    /// The scan's similarity evaluations (§4.2).
-    ScanScore,
-    /// The snapshot scan's sequential absorb pass.
-    ScanAbsorb,
-    /// Consolidation (§4.5).
-    Consolidate,
-    /// Histogram build and valley analysis (§4.6).
-    Threshold,
-    /// One checkpoint write attempt.
-    CheckpointSave,
-    /// Replaying a checkpoint's stored records on resume.
-    Resume,
-    /// The final assignment sweep.
-    Finalize,
-}
-
-impl Phase {
-    /// Every phase, in display order.
-    pub const ALL: [Phase; 10] = [
-        Phase::Iteration,
-        Phase::Seeding,
-        Phase::SeedingScore,
-        Phase::ScanScore,
-        Phase::ScanAbsorb,
-        Phase::Consolidate,
-        Phase::Threshold,
-        Phase::CheckpointSave,
-        Phase::Resume,
-        Phase::Finalize,
-    ];
-
-    /// The phase's stable snake_case name (JSONL and exporter label).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Phase::Iteration => "iteration",
-            Phase::Seeding => "seeding",
-            Phase::SeedingScore => "seeding_score",
-            Phase::ScanScore => "scan_score",
-            Phase::ScanAbsorb => "scan_absorb",
-            Phase::Consolidate => "consolidate",
-            Phase::Threshold => "threshold",
-            Phase::CheckpointSave => "checkpoint_save",
-            Phase::Resume => "resume",
-            Phase::Finalize => "finalize",
+/// Declares a registry metric enum from one table. Each row names a
+/// variant, its stable snake_case name and one help sentence, which is
+/// both the variant's rustdoc and the exporter's `# HELP` text; optional
+/// doc lines before a row add notes. The table generates the enum, `ALL`
+/// in row order, `as_str`, `help`, and `index` (the position in `ALL`,
+/// which is the variant's discriminant, so it cannot fail).
+macro_rules! metric_table {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $( $(#[$note:meta])* $variant:ident => $str:literal, $help:literal; )*
         }
-    }
-
-    fn index(self) -> usize {
-        Phase::ALL.iter().position(|p| *p == self).expect("in ALL")
-    }
-}
-
-/// A monotonically increasing counter in the registry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Counter {
-    /// (sequence, cluster) pairs whose similarity was evaluated.
-    PairsScored,
-    /// Pairs the compiled kernel abandoned early (threshold early-exit).
-    PairsPruned,
-    /// Pairs whose similarity reached the threshold.
-    Joins,
-    /// Joins by sequences not already members of that cluster.
-    NewJoins,
-    /// Membership flips across all scans.
-    MembershipChanges,
-    /// Seed candidates sampled by §4.1.
-    SeedCandidatesSampled,
-    /// Seeds chosen — clusters born.
-    SeedsChosen,
-    /// Clusters dismissed by consolidation.
-    ClustersDismissed,
-    /// Dismissed clusters merged into their coverer.
-    ClustersMerged,
-    /// Threshold-adjustment steps that moved the threshold.
-    ThresholdMoves,
-    /// Checkpoint write attempts.
-    CheckpointWrites,
-    /// Checkpoint write attempts that failed.
-    CheckpointFailures,
-    /// Bytes of checkpoint data successfully written.
-    CheckpointBytes,
-    /// Requests answered by the serve daemon (scored, not errored).
-    ServeRequests,
-    /// Error frames/responses the serve daemon produced.
-    ServeErrors,
-    /// Successful hot-swaps to a new model generation.
-    ServeSwaps,
-    /// Pairs answered from the incremental similarity cache instead of
-    /// being re-scored (0 unless `--incremental`).
-    PairsReused,
-    /// Clusters scored fresh in a scan because their model changed — or
-    /// was never cached (0 unless `--incremental`).
-    ClustersDirty,
-    /// `CompiledPst` automata compiled for dirty clusters under the
-    /// incremental engine (0 unless `--incremental`).
-    PstRecompiles,
-    /// ASSIGN requests the serve daemon completed (either transport).
-    ServeAssign,
-    /// SCORE requests the serve daemon completed.
-    ServeScore,
-    /// ANOMALY requests the serve daemon completed.
-    ServeAnomaly,
-    /// INFO requests the serve daemon completed.
-    ServeInfo,
-    /// SWAP requests the serve daemon completed (attempts, not successes —
-    /// [`Counter::ServeSwaps`] counts installed generations).
-    ServeSwapRequests,
-    /// SHUTDOWN requests the serve daemon completed.
-    ServeShutdown,
-    /// Requests whose end-to-end latency crossed the slow-request
-    /// threshold (logged to `--slow-log` when one is configured).
-    ServeSlow,
-}
-
-impl Counter {
-    /// Every counter, in display order.
-    pub const ALL: [Counter; 26] = [
-        Counter::PairsScored,
-        Counter::PairsPruned,
-        Counter::Joins,
-        Counter::NewJoins,
-        Counter::MembershipChanges,
-        Counter::SeedCandidatesSampled,
-        Counter::SeedsChosen,
-        Counter::ClustersDismissed,
-        Counter::ClustersMerged,
-        Counter::ThresholdMoves,
-        Counter::CheckpointWrites,
-        Counter::CheckpointFailures,
-        Counter::CheckpointBytes,
-        Counter::ServeRequests,
-        Counter::ServeErrors,
-        Counter::ServeSwaps,
-        Counter::PairsReused,
-        Counter::ClustersDirty,
-        Counter::PstRecompiles,
-        Counter::ServeAssign,
-        Counter::ServeScore,
-        Counter::ServeAnomaly,
-        Counter::ServeInfo,
-        Counter::ServeSwapRequests,
-        Counter::ServeShutdown,
-        Counter::ServeSlow,
-    ];
-
-    /// The counter's stable snake_case name (JSONL and exporter base name).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Counter::PairsScored => "pairs_scored",
-            Counter::PairsPruned => "pairs_pruned",
-            Counter::Joins => "joins",
-            Counter::NewJoins => "new_joins",
-            Counter::MembershipChanges => "membership_changes",
-            Counter::SeedCandidatesSampled => "seed_candidates_sampled",
-            Counter::SeedsChosen => "seeds_chosen",
-            Counter::ClustersDismissed => "clusters_dismissed",
-            Counter::ClustersMerged => "clusters_merged",
-            Counter::ThresholdMoves => "threshold_moves",
-            Counter::CheckpointWrites => "checkpoint_writes",
-            Counter::CheckpointFailures => "checkpoint_failures",
-            Counter::CheckpointBytes => "checkpoint_bytes",
-            Counter::ServeRequests => "serve_requests",
-            Counter::ServeErrors => "serve_errors",
-            Counter::ServeSwaps => "serve_swaps",
-            Counter::PairsReused => "pairs_reused",
-            Counter::ClustersDirty => "clusters_dirty",
-            Counter::PstRecompiles => "pst_recompiles",
-            Counter::ServeAssign => "serve_assign_requests",
-            Counter::ServeScore => "serve_score_requests",
-            Counter::ServeAnomaly => "serve_anomaly_requests",
-            Counter::ServeInfo => "serve_info_requests",
-            Counter::ServeSwapRequests => "serve_swap_requests",
-            Counter::ServeShutdown => "serve_shutdown_requests",
-            Counter::ServeSlow => "serve_slow_requests",
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $name {
+            $( #[doc = $help] $(#[$note])* $variant, )*
         }
-    }
 
-    fn index(self) -> usize {
-        Counter::ALL
-            .iter()
-            .position(|c| *c == self)
-            .expect("in ALL")
-    }
-}
+        impl $name {
+            /// Every variant, in display order.
+            pub const ALL: [$name; [$($str),*].len()] = [$($name::$variant),*];
 
-/// A last-value gauge in the registry, set at iteration boundaries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Gauge {
-    /// Completed iterations.
-    Iteration,
-    /// Clusters alive after the latest consolidation.
-    ClustersLive,
-    /// The similarity threshold, log-space (stored as `f64` bits).
-    ThresholdLogT,
-    /// The serve daemon's live model generation (0 when not serving).
-    ServeGeneration,
-}
+            /// The stable snake_case name (JSONL key and exporter name).
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $($name::$variant => $str,)*
+                }
+            }
 
-impl Gauge {
-    /// Every gauge, in display order.
-    pub const ALL: [Gauge; 4] = [
-        Gauge::Iteration,
-        Gauge::ClustersLive,
-        Gauge::ThresholdLogT,
-        Gauge::ServeGeneration,
-    ];
+            /// The one-sentence description the exporter prints as `# HELP`.
+            pub fn help(self) -> &'static str {
+                match self {
+                    $($name::$variant => $help,)*
+                }
+            }
 
-    fn index(self) -> usize {
-        Gauge::ALL.iter().position(|g| *g == self).expect("in ALL")
-    }
-}
-
-/// A fixed-bucket latency histogram in the registry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HistKind {
-    /// Per-row scoring latency, recorded by each worker in its own shard:
-    /// one observation per sequence, or per lane group of up to
-    /// [`BATCH_LANES`](crate::similarity::BATCH_LANES) sequences in the
-    /// compiled snapshot pass.
-    ScoreRow,
-    /// Whole-iteration wall time.
-    IterationWall,
-    /// Checkpoint write wall time.
-    CheckpointWrite,
-    /// End-to-end ASSIGN latency, first byte to write-back complete.
-    ServeAssign,
-    /// End-to-end SCORE latency.
-    ServeScore,
-    /// End-to-end ANOMALY latency.
-    ServeAnomaly,
-    /// End-to-end latency of the admin opcodes (INFO, SWAP, SHUTDOWN).
-    ServeAdmin,
-    /// Stage: reading the rest of the frame (or HTTP request) off the
-    /// socket after its first byte.
-    ServeAccept,
-    /// Stage: decoding and validating the request payload.
-    ServeDecode,
-    /// Nothing observes it: the serve daemon has no queue, since each
-    /// connection thread scores its own requests. Kept only so
-    /// `perfbench/`, which reads it, compiles; it goes with the next
-    /// change to the benchmark.
-    ServeQueueWait,
-    /// Nothing observes it; kept, like [`HistKind::ServeQueueWait`], only
-    /// so `perfbench/` compiles.
-    ServeBatchForm,
-    /// Stage: answering the request against the pinned model generation.
-    ServeScan,
-    /// Stage: encoding the response frame or JSON body.
-    ServeEncode,
-    /// Stage: writing the encoded response back to the socket.
-    ServeWriteBack,
-    /// Jobs per dispatched batch. Nothing observes it; kept, like
-    /// [`HistKind::ServeQueueWait`], only so `perfbench/` compiles. Unit
-    /// is **jobs**, not time: a batch of `n` jobs would be recorded as
-    /// `n` µs, so bucket `b` covers `[2^(b-1), 2^b)` jobs and the
-    /// exporter divides edges and sums by 1000 to render job counts.
-    ServeBatchJobs,
-}
-
-impl HistKind {
-    /// Every histogram, in display order.
-    pub const ALL: [HistKind; 15] = [
-        HistKind::ScoreRow,
-        HistKind::IterationWall,
-        HistKind::CheckpointWrite,
-        HistKind::ServeAssign,
-        HistKind::ServeScore,
-        HistKind::ServeAnomaly,
-        HistKind::ServeAdmin,
-        HistKind::ServeAccept,
-        HistKind::ServeDecode,
-        HistKind::ServeQueueWait,
-        HistKind::ServeBatchForm,
-        HistKind::ServeScan,
-        HistKind::ServeEncode,
-        HistKind::ServeWriteBack,
-        HistKind::ServeBatchJobs,
-    ];
-
-    /// The histogram's stable snake_case name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            HistKind::ScoreRow => "score_row",
-            HistKind::IterationWall => "iteration_wall",
-            HistKind::CheckpointWrite => "checkpoint_write",
-            HistKind::ServeAssign => "serve_assign",
-            HistKind::ServeScore => "serve_score",
-            HistKind::ServeAnomaly => "serve_anomaly",
-            HistKind::ServeAdmin => "serve_admin",
-            HistKind::ServeAccept => "serve_stage_accept",
-            HistKind::ServeDecode => "serve_stage_decode",
-            HistKind::ServeQueueWait => "serve_stage_queue_wait",
-            HistKind::ServeBatchForm => "serve_stage_batch_form",
-            HistKind::ServeScan => "serve_stage_scan",
-            HistKind::ServeEncode => "serve_stage_encode",
-            HistKind::ServeWriteBack => "serve_stage_write_back",
-            HistKind::ServeBatchJobs => "serve_batch_jobs",
+            /// The variant's position in [`Self::ALL`].
+            pub(crate) fn index(self) -> usize {
+                self as usize
+            }
         }
-    }
+    };
+}
 
-    pub(crate) fn index(self) -> usize {
-        HistKind::ALL
-            .iter()
-            .position(|h| *h == self)
-            .expect("in ALL")
+metric_table! {
+    /// One phase of the iteration loop, the unit of span aggregation.
+    pub enum Phase {
+        Iteration => "iteration", "One whole loop iteration (parent of the per-phase spans).";
+        Seeding => "seeding", "Seed sampling, candidate models, farthest-first selection (§4.1).";
+        SeedingScore => "seeding_score", "The scoring passes inside seeding (nested under seeding).";
+        ScanScore => "scan_score", "The scan's similarity evaluations (§4.2).";
+        ScanAbsorb => "scan_absorb", "The snapshot scan's sequential absorb pass.";
+        Consolidate => "consolidate", "Consolidation (§4.5).";
+        Threshold => "threshold", "Histogram build and valley analysis (§4.6).";
+        CheckpointSave => "checkpoint_save", "One checkpoint write attempt.";
+        Resume => "resume", "Replaying a checkpoint's stored records on resume.";
+        Finalize => "finalize", "The final assignment sweep.";
+    }
+}
+
+metric_table! {
+    /// A monotonically increasing counter in the registry.
+    pub enum Counter {
+        PairsScored => "pairs_scored",
+            "Sequence/cluster pairs whose similarity was evaluated.";
+        PairsPruned => "pairs_pruned",
+            "Pairs abandoned early by the compiled kernel's threshold exit.";
+        Joins => "joins", "Pairs whose similarity reached the threshold.";
+        NewJoins => "new_joins", "Joins by sequences not already members of the cluster.";
+        MembershipChanges => "membership_changes", "Cluster membership flips across all scans.";
+        SeedCandidatesSampled => "seed_candidates_sampled",
+            "Seed candidates sampled by the seeding phase.";
+        SeedsChosen => "seeds_chosen", "Seeds chosen (clusters born).";
+        ClustersDismissed => "clusters_dismissed", "Clusters dismissed by consolidation.";
+        ClustersMerged => "clusters_merged",
+            "Dismissed clusters merged into a covering cluster.";
+        ThresholdMoves => "threshold_moves",
+            "Threshold-adjustment steps that moved the threshold.";
+        CheckpointWrites => "checkpoint_writes", "Checkpoint write attempts.";
+        CheckpointFailures => "checkpoint_failures", "Checkpoint write attempts that failed.";
+        CheckpointBytes => "checkpoint_bytes", "Bytes of checkpoint data successfully written.";
+        ServeRequests => "serve_requests",
+            "Requests the serve daemon answered with a scored response.";
+        ServeErrors => "serve_errors", "Error frames/responses the serve daemon produced.";
+        ServeSwaps => "serve_swaps", "Successful hot-swaps to a new model generation.";
+        /// 0 unless `--incremental`.
+        PairsReused => "pairs_reused",
+            "Pairs answered from the incremental engine's similarity cache.";
+        /// Their model changed or was never cached; 0 unless `--incremental`.
+        ClustersDirty => "clusters_dirty",
+            "Clusters entering a scan without a valid cached column.";
+        /// 0 unless `--incremental`.
+        PstRecompiles => "pst_recompiles", "Cluster automata recompiled for dirty clusters.";
+        ServeAssign => "serve_assign_requests", "ASSIGN requests completed by the serve daemon.";
+        ServeScore => "serve_score_requests", "SCORE requests completed by the serve daemon.";
+        ServeAnomaly => "serve_anomaly_requests",
+            "ANOMALY requests completed by the serve daemon.";
+        ServeInfo => "serve_info_requests", "INFO requests completed by the serve daemon.";
+        /// Attempts, not successes: [`Counter::ServeSwaps`] counts installed
+        /// generations.
+        ServeSwapRequests => "serve_swap_requests", "SWAP requests completed by the serve daemon.";
+        ServeShutdown => "serve_shutdown_requests",
+            "SHUTDOWN requests completed by the serve daemon.";
+        /// Logged to `--slow-log` when one is configured.
+        ServeSlow => "serve_slow_requests",
+            "Requests whose end-to-end latency crossed the slow threshold.";
+    }
+}
+
+metric_table! {
+    /// A last-value gauge in the registry, set at iteration boundaries.
+    pub enum Gauge {
+        Iteration => "iteration", "Completed clustering iterations.";
+        ClustersLive => "clusters_live", "Clusters alive after the latest consolidation.";
+        /// Stored log-space as `f64` bits; the exporter renders its `exp`.
+        ThresholdLogT => "threshold", "Similarity threshold t (natural units, exp of log_t).";
+        ServeGeneration => "serve_generation",
+            "Live model generation of the serve daemon (0 when not serving).";
+    }
+}
+
+metric_table! {
+    /// A fixed-bucket latency histogram in the registry.
+    pub enum HistKind {
+        /// Recorded by each worker in its own shard: one observation per
+        /// sequence, or per lane group of up to
+        /// [`BATCH_LANES`](crate::similarity::BATCH_LANES) sequences in the
+        /// compiled snapshot pass.
+        ScoreRow => "score_row",
+            "Latency of scoring one sequence against all clusters; one \
+             lane group of up to eight sequences in compiled snapshot passes.";
+        IterationWall => "iteration_wall", "Wall time of one whole iteration.";
+        CheckpointWrite => "checkpoint_write", "Wall time of one checkpoint write.";
+        ServeAssign => "serve_assign", "End-to-end ASSIGN latency, first byte to write-back.";
+        ServeScore => "serve_score", "End-to-end SCORE latency, first byte to write-back.";
+        ServeAnomaly => "serve_anomaly", "End-to-end ANOMALY latency, first byte to write-back.";
+        ServeAdmin => "serve_admin", "End-to-end latency of INFO/SWAP/SHUTDOWN requests.";
+        ServeAccept => "serve_stage_accept",
+            "Stage: reading the rest of the request off the socket.";
+        ServeDecode => "serve_stage_decode", "Stage: decoding and validating the request payload.";
+        /// Nothing observes it: each connection thread scores its own
+        /// requests. Kept only so `perfbench/`, which reads it, compiles;
+        /// it goes with the next change to the benchmark.
+        ServeQueueWait => "serve_stage_queue_wait", "Unused: the serve daemon has no queue stage.";
+        /// Kept, like [`HistKind::ServeQueueWait`], only so `perfbench/`
+        /// compiles.
+        ServeBatchForm => "serve_stage_batch_form", "Unused: the serve daemon has no batch stage.";
+        ServeScan => "serve_stage_scan", "Stage: answering the request against the pinned model.";
+        ServeEncode => "serve_stage_encode", "Stage: encoding the response.";
+        /// Ends when `write_all` returns, so on a loaded host it includes
+        /// time the handler is descheduled after the client already has
+        /// its bytes.
+        ServeWriteBack => "serve_stage_write_back", "Stage: writing the response to the socket.";
+        /// Kept, like [`HistKind::ServeQueueWait`], only so `perfbench/`
+        /// compiles. Unit is **jobs**, not time: a batch of `n` jobs would
+        /// be recorded as `n` µs, so the exporter divides edges and sums
+        /// by 1000 to render job counts.
+        ServeBatchJobs => "serve_batch_jobs",
+            "Unused: the serve daemon has no batches (unit: jobs).";
     }
 }
 
@@ -589,13 +453,7 @@ impl TraceShared {
     /// individual [`Self::observe`] calls that filled the buffer, at a
     /// fraction of the atomic traffic — only non-empty buckets touch the
     /// registry.
-    pub fn hist_merge(
-        &self,
-        hist: HistKind,
-        shard: usize,
-        counts: &[u32; HIST_BUCKETS],
-        sum: u64,
-    ) {
+    pub fn hist_merge(&self, hist: HistKind, shard: usize, counts: &[u32; HIST_BUCKETS], sum: u64) {
         let s = &self.shards[shard.min(SHARDS - 1)];
         let h = hist.index();
         for (b, &c) in counts.iter().enumerate() {
@@ -716,47 +574,15 @@ pub struct TraceConfig {
 }
 
 /// One run's tracing context: the shared registry plus the optional JSONL
-/// sink and exporter. Passed as `Option<&TraceSession>` through the
-/// driver; `None` everywhere is the zero-cost disabled path.
+/// sink and exporter. It observes the driver's run events (see the
+/// [`RunObserver`] impl) and is passed as `Option<&TraceSession>` to the
+/// layers that count per-pair work; `None` everywhere is the zero-cost
+/// disabled path.
 #[derive(Debug)]
 pub struct TraceSession {
     shared: Arc<TraceShared>,
     sink: Option<Mutex<sink::JsonlSink>>,
     exporter: Option<exporter::ExporterHandle>,
-}
-
-/// The per-iteration facts the JSONL `iteration` event carries. All
-/// counter fields are deterministic; only `phases` is wall-clock.
-#[derive(Debug, Clone, Copy)]
-pub struct IterationEvent {
-    /// 0-based iteration number.
-    pub iteration: usize,
-    /// Clusters alive when the iteration began.
-    pub clusters_at_start: usize,
-    /// Clusters born this iteration.
-    pub new_clusters: usize,
-    /// Clusters dismissed by consolidation.
-    pub removed_clusters: usize,
-    /// Clusters alive after consolidation.
-    pub clusters_live: usize,
-    /// Membership flips in the scan.
-    pub membership_changes: usize,
-    /// Pairs scored in the scan.
-    pub pairs_scored: u64,
-    /// Pairs pruned by the compiled kernel's early exit.
-    pub pairs_pruned: u64,
-    /// Pairs answered from the incremental cache (0 unless incremental).
-    pub pairs_reused: u64,
-    /// Pairs that reached the threshold.
-    pub joins: u64,
-    /// Joins by non-members.
-    pub new_joins: u64,
-    /// The threshold after adjustment, log-space.
-    pub log_t: f64,
-    /// Whether adjustment moved the threshold.
-    pub threshold_moved: bool,
-    /// Wall-clock phase attribution.
-    pub phases: PhaseNanos,
 }
 
 impl TraceSession {
@@ -838,115 +664,116 @@ impl TraceSession {
         self.shared.observe(hist, shard, nanos);
     }
 
-    /// See [`TraceShared::gauge_set`].
-    pub fn gauge_set(&self, gauge: Gauge, v: u64) {
-        self.shared.gauge_set(gauge, v);
-    }
-
-    /// See [`TraceShared::gauge_set_f64`].
-    pub fn gauge_set_f64(&self, gauge: Gauge, v: f64) {
-        self.shared.gauge_set_f64(gauge, v);
-    }
-
     /// See [`TraceShared::phase_stats`].
     pub fn phase_stats(&self, phase: Phase) -> PhaseStats {
         self.shared.phase_stats(phase)
     }
+}
 
-    /// Fsyncs the JSONL sink (no-op without one). Event writes are
-    /// best-effort — an I/O error never aborts the run — so `sync` is
-    /// where durability is actually established: the driver calls it on
-    /// every iteration boundary *before* the checkpoint write, which is
-    /// what guarantees the trace always covers at least as many iterations
-    /// as any checkpoint on disk.
-    pub fn sync(&self) {
-        if let Some(sink) = &self.sink {
-            if let Ok(mut sink) = sink.lock() {
-                let _ = sink.sync();
-            }
-        }
+/// The session observes the driver's run events: it writes each as one
+/// JSONL line, fsynced before the driver moves on (so the trace on disk
+/// covers at least as many iterations as any checkpoint written after
+/// it), and keeps the registry's run-level counters, gauges and
+/// histograms. Scan and scoring counters are per-pair counts made per
+/// worker shard, so the layers that make them record them directly.
+impl RunObserver for &TraceSession {
+    /// Always `false`: an enabled observer makes the driver keep every
+    /// iteration's histogram, which switches scan pruning off. Tracing
+    /// must never change what the run computes.
+    fn enabled(&self) -> bool {
+        false
     }
 
-    fn emit(&self, build: impl FnOnce(&mut JsonWriter)) {
-        let Some(sink) = &self.sink else { return };
-        let mut w = JsonWriter::new();
-        w.begin_obj();
-        build(&mut w);
-        w.end_obj();
-        let body = w.finish();
-        if let Ok(mut sink) = sink.lock() {
-            let _ = sink.write_event(&body);
-        }
-    }
-
-    /// Emits the `run_start` event.
-    pub fn event_run_start(&self, ctx: &RunContext, kernel: ScanKernel) {
-        self.emit(|w| {
+    fn on_run_start(&mut self, ctx: &RunContext) {
+        self.shared
+            .gauge_set_f64(Gauge::ThresholdLogT, ctx.initial_log_t);
+        sink::append_event(self.sink.as_ref(), |w| {
             w.field_str("event", "run_start");
             w.field_usize("sequences", ctx.sequences);
             w.field_usize("alphabet_size", ctx.alphabet_size);
             w.field_usize("threads", ctx.threads);
             w.field_str("scan_mode", &ctx.scan_mode.to_string());
-            w.field_str("scan_kernel", &kernel.to_string());
+            w.field_str("scan_kernel", &ctx.scan_kernel.to_string());
             w.field_u64("seed", ctx.seed);
             w.field_f64("initial_log_t", ctx.initial_log_t);
         });
     }
 
-    /// Emits the `resume` event (directly after `run_start` in a resumed
-    /// run — the marker the replay reader stitches on).
-    pub fn event_resume(&self, info: &ResumeInfo) {
-        self.emit(|w| {
+    /// The `resume` event follows `run_start` in a resumed run: it is the
+    /// marker [`sink::stitch_iterations`] splices the history on. The
+    /// checkpoint's records are replayed to the caller's observer only;
+    /// the trace file already holds those iterations.
+    fn on_resume(&mut self, info: &ResumeInfo) {
+        self.shared
+            .gauge_set(Gauge::Iteration, info.completed as u64);
+        self.shared
+            .gauge_set(Gauge::ClustersLive, info.clusters as u64);
+        self.shared.gauge_set_f64(Gauge::ThresholdLogT, info.log_t);
+        sink::append_event(self.sink.as_ref(), |w| {
             w.field_str("event", "resume");
             w.field_usize("completed", info.completed);
             w.field_u64("version", u64::from(info.version));
         });
     }
 
-    /// Emits the `iteration` event. The driver follows it with
-    /// [`TraceSession::sync`] before any checkpoint write.
-    pub fn event_iteration(&self, ev: &IterationEvent) {
-        self.emit(|w| {
+    fn on_iteration(&mut self, r: &IterationRecord) {
+        let s = &self.shared;
+        s.add(Counter::SeedCandidatesSampled, r.seeding.sampled as u64);
+        s.add(Counter::SeedsChosen, r.seeding.chosen as u64);
+        s.add(Counter::ClustersDismissed, r.removed_clusters as u64);
+        s.add(Counter::ClustersMerged, r.merged_clusters as u64);
+        s.add(Counter::ThresholdMoves, u64::from(r.threshold_moved));
+        s.gauge_set(Gauge::Iteration, r.iteration as u64 + 1);
+        s.gauge_set(Gauge::ClustersLive, r.clusters_at_end as u64);
+        s.gauge_set_f64(Gauge::ThresholdLogT, r.log_t_after);
+        s.observe(HistKind::IterationWall, 0, r.timings.total);
+        sink::append_event(self.sink.as_ref(), |w| {
             w.field_str("event", "iteration");
-            w.field_usize("iteration", ev.iteration);
-            w.field_usize("clusters_at_start", ev.clusters_at_start);
-            w.field_usize("new_clusters", ev.new_clusters);
-            w.field_usize("removed_clusters", ev.removed_clusters);
-            w.field_usize("clusters_live", ev.clusters_live);
-            w.field_usize("membership_changes", ev.membership_changes);
-            w.field_u64("pairs_scored", ev.pairs_scored);
-            w.field_u64("pairs_pruned", ev.pairs_pruned);
-            w.field_u64("pairs_reused", ev.pairs_reused);
-            w.field_u64("joins", ev.joins);
-            w.field_u64("new_joins", ev.new_joins);
-            w.field_f64("log_t", ev.log_t);
-            w.field_bool("threshold_moved", ev.threshold_moved);
+            w.field_usize("iteration", r.iteration);
+            w.field_usize("clusters_at_start", r.clusters_at_start);
+            w.field_usize("new_clusters", r.seeding.chosen);
+            w.field_usize("removed_clusters", r.removed_clusters);
+            w.field_usize("clusters_live", r.clusters_at_end);
+            w.field_usize("membership_changes", r.scan.membership_changes);
+            w.field_u64("pairs_scored", r.scan.pairs_scored);
+            w.field_u64("pairs_pruned", r.scan.pairs_pruned);
+            w.field_u64("pairs_reused", r.scan.pairs_reused);
+            w.field_u64("joins", r.scan.joins);
+            w.field_u64("new_joins", r.scan.new_joins);
+            w.field_f64("log_t", r.log_t_after);
+            w.field_bool("threshold_moved", r.threshold_moved);
             w.key("phase_nanos");
             w.begin_obj();
-            w.field_u64("seeding", ev.phases.seeding);
-            w.field_u64("scan_score", ev.phases.scan_score);
-            w.field_u64("scan_absorb", ev.phases.scan_absorb);
-            w.field_u64("consolidate", ev.phases.consolidate);
-            w.field_u64("threshold", ev.phases.threshold);
-            w.field_u64("total", ev.phases.total);
+            w.field_u64("seeding", r.timings.seeding);
+            w.field_u64("scan_score", r.timings.scan_score);
+            w.field_u64("scan_absorb", r.timings.scan_absorb);
+            w.field_u64("consolidate", r.timings.consolidate);
+            w.field_u64("threshold", r.timings.threshold);
+            w.field_u64("total", r.timings.total);
             w.end_obj();
         });
     }
 
-    /// Emits the `checkpoint` event (after the write attempt).
-    pub fn event_checkpoint(&self, completed: usize, bytes: u64, write_nanos: u64, ok: bool) {
-        self.emit(|w| {
+    fn on_checkpoint(&mut self, e: &CheckpointEvent) {
+        let s = &self.shared;
+        s.add(Counter::CheckpointWrites, 1);
+        s.observe(HistKind::CheckpointWrite, 0, e.write_nanos);
+        match e.error {
+            None => s.add(Counter::CheckpointBytes, e.bytes),
+            Some(_) => s.add(Counter::CheckpointFailures, 1),
+        }
+        sink::append_event(self.sink.as_ref(), |w| {
             w.field_str("event", "checkpoint");
-            w.field_usize("completed", completed);
-            w.field_u64("bytes", bytes);
-            w.field_u64("write_nanos", write_nanos);
-            w.field_bool("ok", ok);
+            w.field_usize("completed", e.completed);
+            w.field_u64("bytes", e.bytes);
+            w.field_u64("write_nanos", e.write_nanos);
+            w.field_bool("ok", e.error.is_none());
         });
     }
 
-    /// Emits the `run_end` event: the run summary plus a full snapshot of
-    /// the registry (counters and per-phase span aggregates).
-    pub fn event_run_end(&self, summary: &RunSummary) {
+    /// The `run_end` event carries the run summary plus a full snapshot
+    /// of the registry: every counter and per-phase span aggregate.
+    fn on_run_end(&mut self, summary: &RunSummary) {
         // Snapshot outside the closure so the sink lock is not held while
         // summing shards.
         let counters: Vec<(&'static str, u64)> = Counter::ALL
@@ -957,7 +784,7 @@ impl TraceSession {
             .iter()
             .map(|&p| (p.as_str(), self.shared.phase_stats(p)))
             .collect();
-        self.emit(|w| {
+        sink::append_event(self.sink.as_ref(), |w| {
             w.field_str("event", "run_end");
             w.field_usize("iterations", summary.iterations);
             w.field_usize("clusters", summary.clusters);
@@ -990,6 +817,89 @@ impl TraceSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_session_observes_the_run_events() {
+        use crate::telemetry::RunReport;
+        use crate::{Checkpoint, Cluseq, CluseqParams, ConsolidationMode};
+        use cluseq_seq::SequenceDatabase;
+        let db = SequenceDatabase::from_strs((0..40).map(|i| match i % 2 {
+            0 => "abababababababababababab",
+            _ => "ccacacaccacacaccacacacca",
+        }));
+        let dir = std::env::temp_dir().join(format!("cluseq-driver-events-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let params = CluseqParams::default()
+            .with_significance(3)
+            .with_max_depth(8)
+            .with_seed(13)
+            .with_consolidation(ConsolidationMode::MergeIntoCovering)
+            .with_checkpoints(&dir, 1);
+        let session = TraceSession::in_memory();
+        let mut report = RunReport::new();
+        let outcome = Cluseq::new(params).run_traced(&db, &mut report, Some(&session));
+
+        let sum = |f: fn(&IterationRecord) -> usize| -> u64 {
+            report.iterations.iter().map(|r| f(r) as u64).sum()
+        };
+        let c = |counter| session.counter(counter);
+        assert_eq!(
+            c(Counter::SeedCandidatesSampled),
+            sum(|r| r.seeding.sampled)
+        );
+        assert_eq!(c(Counter::SeedsChosen), sum(|r| r.seeding.chosen));
+        assert_eq!(c(Counter::ClustersDismissed), sum(|r| r.removed_clusters));
+        assert_eq!(c(Counter::ClustersMerged), sum(|r| r.merged_clusters));
+        assert_eq!(
+            c(Counter::ThresholdMoves),
+            sum(|r| usize::from(r.threshold_moved))
+        );
+        let writes = report.checkpoints.len() as u64;
+        assert!(writes > 0);
+        assert_eq!(c(Counter::CheckpointWrites), writes);
+        assert_eq!(c(Counter::CheckpointFailures), 0);
+        assert_eq!(
+            c(Counter::CheckpointBytes),
+            report.checkpoints.iter().map(|e| e.bytes).sum::<u64>()
+        );
+
+        let iterations = outcome.iterations as u64;
+        let shared = session.shared();
+        assert_eq!(shared.gauge(Gauge::Iteration), iterations);
+        assert_eq!(
+            shared.gauge(Gauge::ClustersLive),
+            report.iterations.last().unwrap().clusters_at_end as u64
+        );
+        assert_eq!(
+            shared.gauge_f64(Gauge::ThresholdLogT).to_bits(),
+            outcome.final_log_t.to_bits()
+        );
+        let observations = |h| shared.hist_counts(h).iter().sum::<u64>();
+        assert_eq!(observations(HistKind::IterationWall), iterations);
+        assert_eq!(observations(HistKind::CheckpointWrite), writes);
+        for phase in [Phase::Seeding, Phase::Consolidate, Phase::Threshold] {
+            assert_eq!(session.phase_stats(phase).count, iterations, "{phase:?}");
+        }
+        assert_eq!(session.phase_stats(Phase::CheckpointSave).count, writes);
+
+        // A resumed session counts only the iterations it ran: the
+        // checkpoint's records are replayed to the caller alone.
+        let ckpt = Checkpoint::load_path(&dir.join("cluseq-000001.ckpt")).expect("checkpoint");
+        let resumed_session = TraceSession::in_memory();
+        let mut resumed_report = RunReport::new();
+        Cluseq::resume_traced(ckpt, &db, &mut resumed_report, Some(&resumed_session));
+        assert_eq!(resumed_report.iterations.len(), report.iterations.len());
+        assert_eq!(
+            resumed_session.counter(Counter::SeedsChosen),
+            report.iterations[1..]
+                .iter()
+                .map(|r| r.seeding.chosen as u64)
+                .sum::<u64>()
+        );
+        assert_eq!(resumed_session.phase_stats(Phase::Resume).count, 1);
+        assert_eq!(resumed_session.shared().gauge(Gauge::Iteration), iterations);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
     #[test]
     fn counters_sum_across_shards() {
@@ -1041,9 +951,9 @@ mod tests {
     #[test]
     fn gauges_hold_last_value() {
         let s = TraceSession::in_memory();
-        s.gauge_set(Gauge::Iteration, 5);
-        s.gauge_set(Gauge::Iteration, 9);
-        s.gauge_set_f64(Gauge::ThresholdLogT, 1.25);
+        s.shared().gauge_set(Gauge::Iteration, 5);
+        s.shared().gauge_set(Gauge::Iteration, 9);
+        s.shared().gauge_set_f64(Gauge::ThresholdLogT, 1.25);
         assert_eq!(s.shared().gauge(Gauge::Iteration), 9);
         assert_eq!(s.shared().gauge_f64(Gauge::ThresholdLogT), 1.25);
     }

@@ -157,31 +157,19 @@ fn seconds(nanos: u64) -> f64 {
 pub fn render(shared: &TraceShared) -> String {
     let mut out = String::with_capacity(4096);
 
-    // Gauges.
-    out.push_str("# HELP cluseq_iteration Completed clustering iterations.\n");
-    out.push_str("# TYPE cluseq_iteration gauge\n");
-    out.push_str(&format!(
-        "cluseq_iteration {}\n",
-        shared.gauge(Gauge::Iteration)
-    ));
-    out.push_str("# HELP cluseq_clusters_live Clusters alive after the latest consolidation.\n");
-    out.push_str("# TYPE cluseq_clusters_live gauge\n");
-    out.push_str(&format!(
-        "cluseq_clusters_live {}\n",
-        shared.gauge(Gauge::ClustersLive)
-    ));
-    out.push_str("# HELP cluseq_threshold Similarity threshold t (natural units, exp of log_t).\n");
-    out.push_str("# TYPE cluseq_threshold gauge\n");
-    out.push_str(&format!(
-        "cluseq_threshold {}\n",
-        fmt_f64(shared.gauge_f64(Gauge::ThresholdLogT).exp())
-    ));
-    out.push_str("# HELP cluseq_serve_generation Live model generation of the serve daemon (0 when not serving).\n");
-    out.push_str("# TYPE cluseq_serve_generation gauge\n");
-    out.push_str(&format!(
-        "cluseq_serve_generation {}\n",
-        shared.gauge(Gauge::ServeGeneration)
-    ));
+    // Gauges. The threshold is stored log-space and exposed as t.
+    for gauge in Gauge::ALL {
+        let name = gauge.as_str();
+        let value = match gauge {
+            Gauge::ThresholdLogT => fmt_f64(shared.gauge_f64(gauge).exp()),
+            _ => shared.gauge(gauge).to_string(),
+        };
+        out.push_str(&format!(
+            "# HELP cluseq_{name} {}\n# TYPE cluseq_{name} gauge\ncluseq_{name} {value}\n",
+            gauge.help()
+        ));
+    }
+    // Read from the OS at scrape time, not a registry gauge.
     out.push_str("# HELP cluseq_process_rss_bytes Resident set size of this process (0 where /proc is unavailable).\n");
     out.push_str("# TYPE cluseq_process_rss_bytes gauge\n");
     out.push_str(&format!("cluseq_process_rss_bytes {}\n", rss_bytes()));
@@ -224,7 +212,7 @@ pub fn render(shared: &TraceShared) -> String {
         let name = counter.as_str();
         out.push_str(&format!(
             "# HELP cluseq_{name}_total {}\n# TYPE cluseq_{name}_total counter\ncluseq_{name}_total {}\n",
-            counter_help(counter),
+            counter.help(),
             shared.counter(counter)
         ));
     }
@@ -243,7 +231,7 @@ pub fn render(shared: &TraceShared) -> String {
         };
         out.push_str(&format!(
             "# HELP {full} {}\n# TYPE {full} histogram\n",
-            hist_help(hist)
+            hist.help()
         ));
         let counts = shared.hist_counts(hist);
         let mut cumulative = 0u64;
@@ -294,60 +282,6 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
-fn counter_help(counter: Counter) -> &'static str {
-    match counter {
-        Counter::PairsScored => "Sequence/cluster pairs whose similarity was evaluated.",
-        Counter::PairsPruned => "Pairs abandoned early by the compiled kernel's threshold exit.",
-        Counter::Joins => "Pairs whose similarity reached the threshold.",
-        Counter::NewJoins => "Joins by sequences not already members of the cluster.",
-        Counter::MembershipChanges => "Cluster membership flips across all scans.",
-        Counter::SeedCandidatesSampled => "Seed candidates sampled by the seeding phase.",
-        Counter::SeedsChosen => "Seeds chosen (clusters born).",
-        Counter::ClustersDismissed => "Clusters dismissed by consolidation.",
-        Counter::ClustersMerged => "Dismissed clusters merged into a covering cluster.",
-        Counter::ThresholdMoves => "Threshold-adjustment steps that moved the threshold.",
-        Counter::CheckpointWrites => "Checkpoint write attempts.",
-        Counter::CheckpointFailures => "Checkpoint write attempts that failed.",
-        Counter::CheckpointBytes => "Bytes of checkpoint data successfully written.",
-        Counter::ServeRequests => "Requests the serve daemon answered with a scored response.",
-        Counter::ServeErrors => "Error frames/responses the serve daemon produced.",
-        Counter::ServeSwaps => "Successful hot-swaps to a new model generation.",
-        Counter::PairsReused => "Pairs answered from the incremental engine's similarity cache.",
-        Counter::ClustersDirty => "Clusters entering a scan without a valid cached column.",
-        Counter::PstRecompiles => "Cluster automata recompiled for dirty clusters.",
-        Counter::ServeAssign => "ASSIGN requests completed by the serve daemon.",
-        Counter::ServeScore => "SCORE requests completed by the serve daemon.",
-        Counter::ServeAnomaly => "ANOMALY requests completed by the serve daemon.",
-        Counter::ServeInfo => "INFO requests completed by the serve daemon.",
-        Counter::ServeSwapRequests => "SWAP requests completed by the serve daemon.",
-        Counter::ServeShutdown => "SHUTDOWN requests completed by the serve daemon.",
-        Counter::ServeSlow => "Requests whose end-to-end latency crossed the slow threshold.",
-    }
-}
-
-fn hist_help(hist: HistKind) -> &'static str {
-    match hist {
-        HistKind::ScoreRow => {
-            "Latency of scoring one sequence against all clusters; one \
-             lane group of up to eight sequences in compiled snapshot passes."
-        }
-        HistKind::IterationWall => "Wall time of one whole iteration.",
-        HistKind::CheckpointWrite => "Wall time of one checkpoint write.",
-        HistKind::ServeAssign => "End-to-end ASSIGN latency, first byte to write-back.",
-        HistKind::ServeScore => "End-to-end SCORE latency, first byte to write-back.",
-        HistKind::ServeAnomaly => "End-to-end ANOMALY latency, first byte to write-back.",
-        HistKind::ServeAdmin => "End-to-end latency of INFO/SWAP/SHUTDOWN requests.",
-        HistKind::ServeAccept => "Stage: reading the rest of the request off the socket.",
-        HistKind::ServeDecode => "Stage: decoding and validating the request payload.",
-        HistKind::ServeQueueWait => "Unused: the serve daemon has no queue stage.",
-        HistKind::ServeBatchForm => "Unused: the serve daemon has no batch stage.",
-        HistKind::ServeScan => "Stage: answering the request against the pinned model.",
-        HistKind::ServeEncode => "Stage: encoding the response.",
-        HistKind::ServeWriteBack => "Stage: writing the response to the socket.",
-        HistKind::ServeBatchJobs => "Unused: the serve daemon has no batches (unit: jobs).",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::TraceSession;
@@ -357,8 +291,8 @@ mod tests {
     fn render_covers_required_series() {
         let s = TraceSession::in_memory();
         s.add(Counter::PairsScored, 7);
-        s.gauge_set(Gauge::Iteration, 3);
-        s.gauge_set_f64(Gauge::ThresholdLogT, 0.0);
+        s.shared().gauge_set(Gauge::Iteration, 3);
+        s.shared().gauge_set_f64(Gauge::ThresholdLogT, 0.0);
         let page = render(s.shared());
         for needle in [
             "cluseq_iteration 3\n",

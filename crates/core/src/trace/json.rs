@@ -1,16 +1,143 @@
-//! A minimal JSON value and recursive-descent parser.
+//! The crate's JSON: a minimal writer and a recursive-descent parser.
 //!
-//! The trace reader ([`super::sink`]) and the `trace-summary` renderer
-//! need to *parse* the JSONL events this crate writes; the workspace has
-//! no JSON dependency, so this is the counterpart to
-//! `telemetry::JsonWriter`. It accepts standard JSON (RFC 8259) with two
-//! deliberate simplifications: numbers are parsed as `f64` (every number
-//! this crate emits round-trips — span nanos are far below 2^53 in
-//! practice, and exact integer identity is checked by the tests through
-//! `as_u64`), and `\uXXXX` escapes outside the basic multilingual plane
-//! are accepted pairwise as surrogates.
+//! The workspace has no JSON dependency. `JsonWriter` renders the run
+//! report, the JSONL trace events and the serve slow log; the trace
+//! reader ([`super::sink`]) and the `trace-summary` renderer *parse*
+//! those events back with [`parse`]. The parser accepts standard JSON
+//! (RFC 8259) with two deliberate simplifications: numbers are parsed as
+//! `f64` (every number this crate emits round-trips — span nanos are far
+//! below 2^53 in practice, and exact integer identity is checked by the
+//! tests through `as_u64`), and `\uXXXX` escapes outside the basic
+//! multilingual plane are accepted pairwise as surrogates.
 
 use std::fmt;
+
+/// Minimal JSON emitter: tracks whether a comma is due at each nesting
+/// level; values are written through typed helpers so escaping and float
+/// formatting live in one place.
+pub(crate) struct JsonWriter {
+    buf: String,
+    needs_comma: Vec<bool>,
+}
+
+impl JsonWriter {
+    pub(crate) fn new() -> Self {
+        Self {
+            buf: String::new(),
+            needs_comma: vec![false],
+        }
+    }
+
+    pub(crate) fn prep(&mut self) {
+        if let Some(due) = self.needs_comma.last_mut() {
+            if *due {
+                self.buf.push(',');
+            }
+            *due = true;
+        }
+    }
+
+    pub(crate) fn begin_obj(&mut self) {
+        self.prep();
+        self.buf.push('{');
+        self.needs_comma.push(false);
+    }
+
+    pub(crate) fn end_obj(&mut self) {
+        self.needs_comma.pop();
+        self.buf.push('}');
+    }
+
+    pub(crate) fn begin_arr(&mut self) {
+        self.prep();
+        self.buf.push('[');
+        self.needs_comma.push(false);
+    }
+
+    pub(crate) fn end_arr(&mut self) {
+        self.needs_comma.pop();
+        self.buf.push(']');
+    }
+
+    /// Writes `"key":` and suppresses the comma bookkeeping for the value
+    /// that follows (the value belongs to this key, not the sequence).
+    pub(crate) fn key(&mut self, key: &str) {
+        self.prep();
+        self.buf.push('"');
+        self.buf.push_str(key); // keys are in-tree identifiers, no escaping
+        self.buf.push_str("\":");
+        if let Some(due) = self.needs_comma.last_mut() {
+            *due = false;
+        }
+    }
+
+    pub(crate) fn raw_value(&mut self, v: &str) {
+        self.prep();
+        self.buf.push_str(v);
+    }
+
+    pub(crate) fn field_usize(&mut self, key: &str, v: usize) {
+        self.key(key);
+        self.raw_value(&v.to_string());
+    }
+
+    pub(crate) fn field_u64(&mut self, key: &str, v: u64) {
+        self.key(key);
+        self.raw_value(&v.to_string());
+    }
+
+    pub(crate) fn field_bool(&mut self, key: &str, v: bool) {
+        self.key(key);
+        self.raw_value(if v { "true" } else { "false" });
+    }
+
+    pub(crate) fn field_f64(&mut self, key: &str, v: f64) {
+        self.key(key);
+        self.push_f64(v);
+    }
+
+    pub(crate) fn field_null(&mut self, key: &str) {
+        self.key(key);
+        self.raw_value("null");
+    }
+
+    pub(crate) fn field_str(&mut self, key: &str, v: &str) {
+        self.key(key);
+        self.prep();
+        self.buf.push('"');
+        for ch in v.chars() {
+            match ch {
+                '"' => self.buf.push_str("\\\""),
+                '\\' => self.buf.push_str("\\\\"),
+                '\n' => self.buf.push_str("\\n"),
+                c if (c as u32) < 0x20 => {
+                    self.buf.push_str(&format!("\\u{:04x}", c as u32));
+                }
+                c => self.buf.push(c),
+            }
+        }
+        self.buf.push('"');
+    }
+
+    pub(crate) fn arr_u64(&mut self, v: u64) {
+        self.raw_value(&v.to_string());
+    }
+
+    pub(crate) fn push_f64(&mut self, v: f64) {
+        if v.is_finite() {
+            // `{:?}` is Rust's shortest round-trip float formatting; it
+            // always contains a '.' or an 'e', so the output is a valid
+            // JSON number that parses back to the same bits.
+            self.raw_value(&format!("{v:?}"));
+        } else {
+            self.raw_value("null");
+        }
+    }
+
+    pub(crate) fn finish(self) -> String {
+        self.buf
+    }
+}
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

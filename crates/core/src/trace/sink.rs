@@ -3,11 +3,11 @@
 //! Every event is one line: a JSON object whose first field is a
 //! monotonically increasing `"seq"` number, so a reader can both detect
 //! truncation and stitch a resumed run's events onto the original
-//! stream. Durability mirrors the checkpoint layer's contract: writes
-//! are buffered appends, and [`JsonlSink::sync`] (`fdatasync`) is called
-//! by the driver on iteration boundaries *before* the checkpoint write —
-//! so on any crash, the trace on disk covers at least as many iterations
-//! as the newest checkpoint.
+//! stream. Durability mirrors the checkpoint layer's contract: every
+//! event is appended and fsynced ([`JsonlSink::sync`], `fdatasync`) as it
+//! is written, and the driver delivers an iteration's event *before* its
+//! checkpoint write — so on any crash, the trace on disk covers at least
+//! as many iterations as the newest checkpoint.
 //!
 //! # Crash tolerance
 //!
@@ -21,8 +21,9 @@
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
+use std::sync::Mutex;
 
-use super::json::{self, JsonValue};
+use super::json::{self, JsonValue, JsonWriter};
 
 /// The open trace file plus the next sequence number to stamp.
 #[derive(Debug)]
@@ -77,6 +78,24 @@ impl JsonlSink {
     /// Flushes file data to disk (`fdatasync`); the durability point.
     pub fn sync(&mut self) -> io::Result<()> {
         self.file.sync_data()
+    }
+}
+
+/// Builds one event object with `build`, appends it to `sink` and
+/// fsyncs it; a no-op without a sink. Best-effort: an I/O error (or a
+/// poisoned lock) drops the event and never fails the caller, so tracing
+/// can never abort a run or a request. The run trace, the serve trace
+/// and the slow log all write through here.
+pub(crate) fn append_event(sink: Option<&Mutex<JsonlSink>>, build: impl FnOnce(&mut JsonWriter)) {
+    let Some(sink) = sink else { return };
+    let mut w = JsonWriter::new();
+    w.begin_obj();
+    build(&mut w);
+    w.end_obj();
+    let body = w.finish();
+    if let Ok(mut sink) = sink.lock() {
+        let _ = sink.write_event(&body);
+        let _ = sink.sync();
     }
 }
 

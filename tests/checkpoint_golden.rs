@@ -87,10 +87,10 @@ fn assert_fixture_resumes_identically(name: &str, params: CluseqParams) -> Check
     resumable.params = resumable.params.without_checkpoints();
 
     let mut fresh_report = RunReport::new();
-    let fresh = Cluseq::new(params).run_observed(&db, &mut fresh_report);
+    let fresh = Cluseq::new(params).run_traced(&db, &mut fresh_report, None);
 
     let mut resumed_report = RunReport::new();
-    let resumed = Cluseq::resume_observed(resumable, &db, &mut resumed_report);
+    let resumed = Cluseq::resume_traced(resumable, &db, &mut resumed_report, None);
 
     assert_eq!(fresh.iterations, resumed.iterations);
     assert_eq!(fresh.final_log_t.to_bits(), resumed.final_log_t.to_bits());

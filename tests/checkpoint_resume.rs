@@ -105,7 +105,8 @@ fn kill_at_every_boundary(mode: ScanMode, threads: usize, name: &str) {
     let db = workload();
 
     let mut golden_report = RunReport::new();
-    let golden = Cluseq::new(params(mode, threads, &dir, 1)).run_observed(&db, &mut golden_report);
+    let golden =
+        Cluseq::new(params(mode, threads, &dir, 1)).run_traced(&db, &mut golden_report, None);
     let golden_counters = golden_report.counters_json();
 
     let files = snapshot_checkpoints(&dir);
@@ -127,7 +128,7 @@ fn kill_at_every_boundary(mode: ScanMode, threads: usize, name: &str) {
             .unwrap_or_else(|e| panic!("{what}: guard rejected the original database: {e}"));
 
         let mut report = RunReport::new();
-        let resumed = Cluseq::resume_observed(ckpt, &db, &mut report);
+        let resumed = Cluseq::resume_traced(ckpt, &db, &mut report, None);
         assert_same_outcome(&golden, &resumed, &what);
         assert_eq!(
             golden_counters,

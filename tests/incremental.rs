@@ -118,8 +118,11 @@ proptest! {
 fn counters_are_zero_with_the_engine_off() {
     let db = workload();
     let mut report = RunReport::new();
-    Cluseq::new(params(ScanMode::Incremental, ScanKernel::Compiled, 1))
-        .run_observed(&db, &mut report);
+    Cluseq::new(params(ScanMode::Incremental, ScanKernel::Compiled, 1)).run_traced(
+        &db,
+        &mut report,
+        None,
+    );
     assert!(!report.iterations.is_empty());
     for rec in &report.iterations {
         assert_eq!(rec.scan.pairs_reused, 0, "iteration {}", rec.iteration);
@@ -139,9 +142,9 @@ fn reused_plus_scored_equals_the_full_runs_work() {
     let p = params(ScanMode::Incremental, ScanKernel::Compiled, 1);
 
     let mut full = RunReport::new();
-    Cluseq::new(p.clone()).run_observed(&db, &mut full);
+    Cluseq::new(p.clone()).run_traced(&db, &mut full, None);
     let mut incr = RunReport::new();
-    Cluseq::new(p.with_incremental(true)).run_observed(&db, &mut incr);
+    Cluseq::new(p.with_incremental(true)).run_traced(&db, &mut incr, None);
 
     assert_eq!(full.iterations.len(), incr.iterations.len());
     for (f, i) in full.iterations.iter().zip(&incr.iterations) {
@@ -185,7 +188,7 @@ fn converged_steady_state_reuses_at_least_five_to_one() {
             .with_seed(3)
             .with_incremental(true),
     )
-    .run_observed(&db, &mut report);
+    .run_traced(&db, &mut report, None);
     assert!(
         outcome.iterations < 15,
         "the workload must converge before the iteration cap, or no \
@@ -248,7 +251,7 @@ fn kill_at_every_delta_boundary(mode: ScanMode, threads: usize, name: &str) {
         .with_checkpoints(&dir, 1);
 
     let mut golden_report = RunReport::new();
-    let golden = Cluseq::new(p).run_observed(&db, &mut golden_report);
+    let golden = Cluseq::new(p).run_traced(&db, &mut golden_report, None);
     let golden_counters = golden_report.counters_json();
 
     let files = checkpoint_paths(&dir);
@@ -282,7 +285,7 @@ fn kill_at_every_delta_boundary(mode: ScanMode, threads: usize, name: &str) {
         ckpt.verify_database(&db)
             .unwrap_or_else(|e| panic!("{what}: guard rejected the original database: {e}"));
         let mut report = RunReport::new();
-        let resumed = Cluseq::resume_observed(ckpt, &db, &mut report);
+        let resumed = Cluseq::resume_traced(ckpt, &db, &mut report, None);
         assert_same_outcome(&golden, &resumed, &what);
         assert_eq!(
             golden_counters,

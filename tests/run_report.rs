@@ -36,7 +36,7 @@ fn params(mode: ScanMode, threads: usize) -> CluseqParams {
 fn observed_run(mode: ScanMode, threads: usize) -> (CluseqOutcome, RunReport) {
     let db = workload();
     let mut report = RunReport::new();
-    let outcome = Cluseq::new(params(mode, threads)).run_observed(&db, &mut report);
+    let outcome = Cluseq::new(params(mode, threads)).run_traced(&db, &mut report, None);
     (outcome, report)
 }
 

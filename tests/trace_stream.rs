@@ -18,6 +18,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use cluseq::core::trace::json::JsonValue;
 use cluseq::core::trace::{sink, Counter, Gauge, HistKind, Phase};
 use cluseq::prelude::*;
 
@@ -82,7 +83,7 @@ fn traced_run_is_byte_identical_across_kernels_and_threads() {
             let runner = Cluseq::new(params(kernel, threads));
 
             let mut plain_report = RunReport::new();
-            let plain = runner.run_observed(&db, &mut plain_report);
+            let plain = runner.run_traced(&db, &mut plain_report, None);
 
             let session = TraceSession::in_memory();
             let mut traced_report = RunReport::new();
@@ -176,6 +177,29 @@ fn registry_counters_match_telemetry_and_thread_counts() {
     }
 }
 
+/// A trace session is not an enabled observer: tracing alone must keep
+/// the scan's early-exit pruning on once the threshold freezes. An
+/// enabled observer (a `RunReport`) keeps the histogram live, so its run
+/// prunes only in the final sweep.
+#[test]
+fn tracing_leaves_scan_pruning_on() {
+    let db = workload();
+    let runner = Cluseq::new(params(ScanKernel::Compiled, 1));
+
+    let session = TraceSession::in_memory();
+    runner.run_traced(&db, &mut NoopObserver, Some(&session));
+
+    let mut report = RunReport::new();
+    runner.run_traced(&db, &mut report, Some(&TraceSession::in_memory()));
+    let recorded = report.summary.expect("summary").pairs_pruned;
+
+    assert!(
+        session.counter(Counter::PairsPruned) > recorded,
+        "traced run pruned {} pairs, recorded run {recorded}",
+        session.counter(Counter::PairsPruned)
+    );
+}
+
 // ---- JSONL stream schema ------------------------------------------------
 
 fn traced_checkpointed_run(dir: &Path, trace_path: &Path) -> CluseqOutcome {
@@ -189,20 +213,82 @@ fn traced_checkpointed_run(dir: &Path, trace_path: &Path) -> CluseqOutcome {
     Cluseq::new(p).run_traced(&db, &mut NoopObserver, Some(&session))
 }
 
-/// Every event kind appears, parses, and carries its required fields;
-/// sequence numbers count up from zero without gaps.
+/// The ordered keys of a JSON object.
+fn keys(value: &JsonValue) -> Vec<&str> {
+    value
+        .as_obj()
+        .expect("a JSON object")
+        .iter()
+        .map(|(k, _)| k.as_str())
+        .collect()
+}
+
+/// The registry counters in `Counter::ALL` order — the order `run_end`
+/// lists them in and the names the exporter and CI use.
+const COUNTER_NAMES: [&str; 26] = [
+    "pairs_scored",
+    "pairs_pruned",
+    "joins",
+    "new_joins",
+    "membership_changes",
+    "seed_candidates_sampled",
+    "seeds_chosen",
+    "clusters_dismissed",
+    "clusters_merged",
+    "threshold_moves",
+    "checkpoint_writes",
+    "checkpoint_failures",
+    "checkpoint_bytes",
+    "serve_requests",
+    "serve_errors",
+    "serve_swaps",
+    "pairs_reused",
+    "clusters_dirty",
+    "pst_recompiles",
+    "serve_assign_requests",
+    "serve_score_requests",
+    "serve_anomaly_requests",
+    "serve_info_requests",
+    "serve_swap_requests",
+    "serve_shutdown_requests",
+    "serve_slow_requests",
+];
+
+/// The span phases in `Phase::ALL` order.
+const PHASE_NAMES: [&str; 10] = [
+    "iteration",
+    "seeding",
+    "seeding_score",
+    "scan_score",
+    "scan_absorb",
+    "consolidate",
+    "threshold",
+    "checkpoint_save",
+    "resume",
+    "finalize",
+];
+
+/// Every event kind appears, parses, and carries exactly its schema's
+/// keys in order; sequence numbers count up from zero without gaps.
 #[test]
 fn jsonl_stream_is_schema_valid_with_monotone_seq() {
     let dir = tmpdir("trace-schema");
     let trace_path = dir.join("run.jsonl");
     let outcome = traced_checkpointed_run(&dir.join("ckpts"), &trace_path);
 
+    let counter_names: Vec<&str> = Counter::ALL.iter().map(|c| c.as_str()).collect();
+    assert_eq!(counter_names, COUNTER_NAMES);
+    let phase_names: Vec<&str> = Phase::ALL.iter().map(|p| p.as_str()).collect();
+    assert_eq!(phase_names, PHASE_NAMES);
+
     let replay = sink::read_trace(&trace_path).expect("trace parses");
     assert!(!replay.truncated_tail, "a clean run leaves no torn tail");
     for (i, ev) in replay.events.iter().enumerate() {
         assert_eq!(ev.seq, i as u64, "seq numbers must be gapless");
-        let required: &[&str] = match ev.kind.as_str() {
+        let schema: &[&str] = match ev.kind.as_str() {
             "run_start" => &[
+                "seq",
+                "event",
                 "sequences",
                 "alphabet_size",
                 "threads",
@@ -212,6 +298,8 @@ fn jsonl_stream_is_schema_valid_with_monotone_seq() {
                 "initial_log_t",
             ],
             "iteration" => &[
+                "seq",
+                "event",
                 "iteration",
                 "clusters_at_start",
                 "new_clusters",
@@ -220,30 +308,54 @@ fn jsonl_stream_is_schema_valid_with_monotone_seq() {
                 "membership_changes",
                 "pairs_scored",
                 "pairs_pruned",
+                "pairs_reused",
                 "joins",
                 "new_joins",
                 "log_t",
                 "threshold_moved",
                 "phase_nanos",
             ],
-            "checkpoint" => &["completed", "bytes", "write_nanos", "ok"],
+            "checkpoint" => &["seq", "event", "completed", "bytes", "write_nanos", "ok"],
             "run_end" => &[
+                "seq",
+                "event",
                 "iterations",
                 "clusters",
                 "outliers",
                 "final_log_t",
+                "finalize_nanos",
+                "total_nanos",
                 "counters",
                 "spans",
             ],
             other => panic!("unexpected event kind {other:?}"),
         };
-        for key in required {
-            assert!(
-                ev.value.get(key).is_some(),
-                "{} event missing {key:?}: {:?}",
-                ev.kind,
-                ev.value
-            );
+        assert_eq!(keys(&ev.value), schema, "{} event keys", ev.kind);
+        match ev.kind.as_str() {
+            "iteration" => assert_eq!(
+                keys(ev.value.get("phase_nanos").unwrap()),
+                [
+                    "seeding",
+                    "scan_score",
+                    "scan_absorb",
+                    "consolidate",
+                    "threshold",
+                    "total"
+                ],
+            ),
+            "run_end" => {
+                assert_eq!(keys(ev.value.get("counters").unwrap()), COUNTER_NAMES);
+                let spans = ev.value.get("spans").unwrap();
+                assert_eq!(keys(spans), PHASE_NAMES);
+                for (phase, span) in spans.as_obj().unwrap() {
+                    assert_eq!(
+                        keys(span),
+                        ["total_nanos", "self_nanos", "count", "max_nanos"],
+                        "span {phase}"
+                    );
+                }
+            }
+            _ => {}
         }
     }
 
