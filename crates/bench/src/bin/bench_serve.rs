@@ -241,8 +241,11 @@ fn measure_overhead(
     let mut trio_traced = Vec::with_capacity(TRIOS);
     for trio in 0..TRIOS {
         let obs = Arc::new(
-            ServeObs::new(TraceSession::in_memory().shared_arc(), &ObsConfig::default())
-                .expect("open obs"),
+            ServeObs::new(
+                TraceSession::in_memory().shared_arc(),
+                &ObsConfig::default(),
+            )
+            .expect("open obs"),
         );
         let off_a = Server::start(load(), None, config, None).expect("start untraced a");
         let off_b = Server::start(load(), None, config, None).expect("start untraced b");
@@ -343,8 +346,11 @@ fn main() {
         watch_sighup: false,
     };
     let obs = Arc::new(
-        ServeObs::new(TraceSession::in_memory().shared_arc(), &ObsConfig::default())
-            .expect("open obs"),
+        ServeObs::new(
+            TraceSession::in_memory().shared_arc(),
+            &ObsConfig::default(),
+        )
+        .expect("open obs"),
     );
     let server = Server::start(model, None, &config, Some(obs)).expect("start server");
     let queries: Vec<Vec<Symbol>> = (0..db.len())

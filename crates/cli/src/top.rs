@@ -246,9 +246,21 @@ fn render(addr: &str, previous: &Scrape, current: &Scrape) -> String {
         "op", "count", "p50", "p95", "p99", "p999"
     ));
     for (label, counter, hist) in [
-        ("assign", "cluseq_serve_assign_requests_total", "cluseq_serve_assign_seconds"),
-        ("score", "cluseq_serve_score_requests_total", "cluseq_serve_score_seconds"),
-        ("anomaly", "cluseq_serve_anomaly_requests_total", "cluseq_serve_anomaly_seconds"),
+        (
+            "assign",
+            "cluseq_serve_assign_requests_total",
+            "cluseq_serve_assign_seconds",
+        ),
+        (
+            "score",
+            "cluseq_serve_score_requests_total",
+            "cluseq_serve_score_seconds",
+        ),
+        (
+            "anomaly",
+            "cluseq_serve_anomaly_requests_total",
+            "cluseq_serve_anomaly_seconds",
+        ),
         ("admin", "", "cluseq_serve_admin_seconds"),
     ] {
         let count = if counter.is_empty() {
@@ -269,10 +281,7 @@ fn render(addr: &str, previous: &Scrape, current: &Scrape) -> String {
             fmt_ms(quantile(buckets, 0.999)),
         ));
     }
-    out.push_str(&format!(
-        "\n{:<12} {:>8}  (ms, mean)\n",
-        "stage", "mean"
-    ));
+    out.push_str(&format!("\n{:<12} {:>8}  (ms, mean)\n", "stage", "mean"));
     for (label, base) in [
         ("accept", "cluseq_serve_stage_accept_seconds"),
         ("decode", "cluseq_serve_stage_decode_seconds"),

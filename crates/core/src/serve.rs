@@ -54,10 +54,10 @@ use std::time::{Duration, Instant};
 use cluseq_seq::SequenceStore;
 
 use crate::config::ScanKernel;
+use crate::trace::stamp::Stamp;
 use engine::{ServeEngine, Work};
 use model::ServeModel;
 use obs::{ObsLocal, RequestRecord, ServeObs, ServeOp, StageNanos};
-use crate::trace::stamp::Stamp;
 use protocol::{errcode, parse_header, ProtoError, Request, Response, FRAME_MAGIC};
 
 /// How often blocked reads wake to check the stop flag.

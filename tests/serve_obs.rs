@@ -226,8 +226,8 @@ fn slow_log_tail_repairs_after_truncation_at_every_byte() {
     // prove the stream continues past it.
     for cut in 0..=canonical.len() as u64 {
         let mut torn = Vec::new();
-        let _ = FailingReader::new(&canonical[..], FailPlan::error_after(cut))
-            .read_to_end(&mut torn);
+        let _ =
+            FailingReader::new(&canonical[..], FailPlan::error_after(cut)).read_to_end(&mut torn);
         assert_eq!(torn.len(), cut as usize, "injector cut at {cut}");
         let path = dir.join("torn.jsonl");
         fs::write(&path, &torn).expect("write torn copy");
@@ -247,7 +247,10 @@ fn slow_log_tail_repairs_after_truncation_at_every_byte() {
         );
         assert!(!replay.truncated_tail, "repair removed the torn tail");
         let last = replay.events.last().unwrap();
-        assert_eq!(last.value.get("request_id").and_then(|v| v.as_u64()), Some(99));
+        assert_eq!(
+            last.value.get("request_id").and_then(|v| v.as_u64()),
+            Some(99)
+        );
         // Sequence numbers continue from the survivors, never collide.
         let seqs: Vec<u64> = replay.events.iter().map(|e| e.seq).collect();
         let mut deduped = seqs.clone();
@@ -286,7 +289,10 @@ fn slow_threshold_is_an_exact_boundary() {
     let replay = read_trace(&slow_path).expect("read slow log");
     assert_eq!(replay.events.len(), 2, "only at-or-over threshold logged");
     assert_eq!(
-        replay.events[0].value.get("total_nanos").and_then(|v| v.as_u64()),
+        replay.events[0]
+            .value
+            .get("total_nanos")
+            .and_then(|v| v.as_u64()),
         Some(500_000)
     );
     assert_eq!(
