@@ -16,7 +16,9 @@
 //! engine's resident footprint must stay far below the file. Under
 //! `--full` the largest configuration is 10^7 sequences. Configurations
 //! run in ascending size so the monotone `VmHWM` reading after each one
-//! is an honest per-configuration bound.
+//! is an honest per-configuration bound, and `--axis all` runs each axis
+//! in a child process of its own, so no axis inherits another's mark.
+//! The JSON records the host's `cores`.
 //!
 //! ```sh
 //! cargo run --release -p cluseq-bench --bin fig6_scalability \
@@ -24,6 +26,7 @@
 //!     [--scale f] [--full] [--out BENCH_fig6.json]
 //! ```
 
+use std::process::Command;
 use std::time::Instant;
 
 use cluseq_bench::{flag_value, pct, peak_rss_bytes, print_table, run_and_score, secs, Scale};
@@ -290,25 +293,56 @@ fn run_outofcore(scale: &Scale, entries: &mut Vec<String>) {
     );
 }
 
+/// Runs one axis in a child process of this binary, with this process's
+/// arguments but `--axis axis`, and returns the child's JSON rows.
+fn run_axis_in_child(axis: &str, out: &str) -> Vec<String> {
+    let part = format!("{out}.{axis}.part");
+    let mut args = Vec::new();
+    let mut given = std::env::args().skip(1);
+    while let Some(arg) = given.next() {
+        if arg == "--axis" || arg == "--out" {
+            given.next();
+        } else {
+            args.push(arg);
+        }
+    }
+    let exe = std::env::current_exe().expect("locate this binary");
+    let status = Command::new(exe)
+        .args(&args)
+        .args(["--axis", axis, "--out", &part])
+        .status()
+        .expect("spawn the axis process");
+    if !status.success() {
+        eprintln!("error: axis {axis} failed ({status})");
+        std::process::exit(1);
+    }
+    let json = std::fs::read_to_string(&part).unwrap_or_else(|e| panic!("cannot read {part}: {e}"));
+    let _ = std::fs::remove_file(&part);
+    json.lines()
+        .filter(|line| line.trim_start().starts_with("{\"axis\""))
+        .map(|line| line.trim_end_matches(',').to_string())
+        .collect()
+}
+
 fn main() {
     let scale = Scale::from_env();
     let axis = flag_value("--axis").unwrap_or_else(|| "all".into());
     let out = flag_value("--out").unwrap_or_else(|| "BENCH_fig6.json".to_string());
     let mut entries = Vec::new();
     if axis == "all" {
-        for a in ["clusters", "sequences", "length", "alphabet"] {
-            run_axis(&scale, a, &mut entries);
+        for a in ["clusters", "sequences", "length", "alphabet", "outofcore"] {
+            entries.extend(run_axis_in_child(a, &out));
         }
-        run_outofcore(&scale, &mut entries);
     } else if axis == "outofcore" {
         run_outofcore(&scale, &mut entries);
     } else {
         run_axis(&scale, &axis, &mut entries);
     }
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let json = format!(
-        "{{\n  \"bench\": \"fig6_scalability\",\n  \"full\": {},\n  \
-         \"peak_rss_note\": \"VmHWM is a process-wide high-water mark; \
-         configs run in ascending size so each reading bounds its config\",\n  \
+        "{{\n  \"bench\": \"fig6_scalability\",\n  \"full\": {},\n  \"cores\": {cores},\n  \
+         \"peak_rss_note\": \"VmHWM is a process-wide high-water mark; each axis runs in \
+         its own process, configs in ascending size, so each reading bounds its config\",\n  \
          \"configs\": [\n{}\n  ]\n}}\n",
         scale.full,
         entries.join(",\n")

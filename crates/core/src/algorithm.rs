@@ -631,6 +631,7 @@ impl Cluseq {
 
         let automata: Option<Vec<ClusterAutomaton>> =
             self.params.scan_kernel.uses_automaton().then(|| {
+                let _span = trace.map(|t| t.span(Phase::AutomatonCompile));
                 parallel_map(clusters.len(), self.params.threads, |slot| {
                     ClusterAutomaton::build(
                         &clusters[slot].pst,

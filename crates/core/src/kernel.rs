@@ -1,7 +1,7 @@
 //! Kernel dispatch: one handle for "a cluster model, compiled for the
 //! automaton scan kernel".
 //!
-//! The scan call-sites — recluster's serial arms, seeding's farthest-first
+//! The scan call-sites — recluster's serial scan, seeding's farthest-first
 //! folds, the final assignment sweep, serve's classifier, and the score
 //! engine's snapshot passes — build a [`ClusterAutomaton`] once per frozen
 //! model and then scan through a uniform API. There is one table format,

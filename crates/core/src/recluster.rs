@@ -68,7 +68,9 @@ pub struct ScanOptions<'a> {
     /// the caller must only set this when the histogram feed is not
     /// consumed (threshold frozen, no records kept); a pruned pair is
     /// always a non-join, so memberships and models are unaffected.
-    /// Ignored by the interpreted kernel.
+    /// Ignored by the interpreted kernel. Interpreted pairs never prune,
+    /// including the pairs an incremental scan scores with the interpreted
+    /// scanner after their slot's model mutated mid-scan.
     pub prune_below: Option<f64>,
     /// Live tracing session. When set, the scan opens `scan_score` /
     /// `scan_absorb` spans and records its [`ScanMetrics`] into the
@@ -243,7 +245,7 @@ impl ScanState {
     }
 }
 
-/// Per-scan reuse bookkeeping for the serial (incremental-mode) arms: a
+/// Per-scan reuse bookkeeping for the serial (incremental-mode) scan: a
 /// snapshot of each slot's valid column, plus the fresh columns being
 /// accumulated for slots that had none.
 ///
@@ -417,52 +419,20 @@ pub fn recluster_full(
     };
 
     match (options.mode, options.kernel) {
-        (ScanMode::Incremental, ScanKernel::Interpreted) => {
-            // Scoring and model updates interleave here, so the whole scan
-            // is attributed to the score phase (absorb stays 0).
-            let _span = options.trace.map(|t| t.span(Phase::ScanScore));
-            let start = std::time::Instant::now();
-            let mut reuse = cache
-                .as_deref()
-                .map(|cache| SerialReuse::new(cache, clusters, n));
-            let mut scratch: Vec<cluseq_seq::Symbol> = Vec::new();
-            let mut reader = store.reader();
-            for &seq_id in order {
-                let seq = reader.symbols(seq_id);
-                for (slot, cluster) in clusters.iter_mut().enumerate() {
-                    let (verdict, reused) =
-                        match reuse.as_ref().and_then(|r| r.lookup(slot, seq_id)) {
-                            Some(verdict) => (verdict, true),
-                            None => {
-                                let sim = max_similarity_pst_with_scratch(
-                                    &cluster.pst,
-                                    background,
-                                    seq,
-                                    &mut scratch,
-                                );
-                                (BoundedSimilarity::Exact(sim), false)
-                            }
-                        };
-                    let mutated = state.apply(seq_id, slot, verdict, seq, cluster, reused);
-                    if let Some(reuse) = reuse.as_mut() {
-                        reuse.after_pair(slot, seq_id, verdict, reused, mutated);
-                    }
-                }
-            }
-            if let (Some(reuse), Some(cache)) = (reuse, cache.as_deref_mut()) {
-                state.metrics.clusters_dirty = reuse.dirty_at_start;
-                reuse.commit(cache, clusters, &state.mutated);
-            }
-            score_nanos = start.elapsed().as_nanos() as u64;
-        }
         (ScanMode::Incremental, kernel) => {
             // The incremental rule mutates a cluster's model mid-scan on
-            // every new join, so each slot's automaton is built lazily and
-            // rebuilt after a mutation. Joins are rare relative to scored
-            // pairs once the clustering settles, so the automatons live
-            // long enough to pay for themselves. With a cache, a clean
-            // slot's automaton is never built at all — reuse needs no
-            // automaton — so a converged scan compiles nothing.
+            // every new join. Scoring and model updates interleave, so the
+            // whole scan is attributed to the score phase (absorb stays 0).
+            //
+            // An automaton kernel builds each slot's automaton lazily, at
+            // most once per scan: once a slot's model has mutated, the
+            // slot is scored for the rest of the scan with the interpreted
+            // context scanner, which is bit-identical to the automaton
+            // (`tests/kernel_equivalence.rs`) and needs no build. The next
+            // scan compiles the mutated model once. Interpreted pairs
+            // never prune. With a cache, a clean slot's automaton is never
+            // built at all — reuse needs no automaton — so a converged
+            // scan compiles nothing.
             //
             // Sequences are scanned one at a time here: the mid-scan
             // mutations forbid handing lane groups to the lane driver.
@@ -473,6 +443,7 @@ pub fn recluster_full(
                 .map(|cache| SerialReuse::new(cache, clusters, n));
             let mut automata: Vec<Option<ClusterAutomaton>> = vec![None; clusters.len()];
             let mut compiles = 0u64;
+            let mut scratch: Vec<cluseq_seq::Symbol> = Vec::new();
             let mut reader = store.reader();
             for &seq_id in order {
                 let seq = reader.symbols(seq_id);
@@ -480,22 +451,35 @@ pub fn recluster_full(
                     let (verdict, reused) =
                         match reuse.as_ref().and_then(|r| r.lookup(slot, seq_id)) {
                             Some(verdict) => (verdict, true),
+                            None if !kernel.uses_automaton() || state.mutated[slot] => {
+                                let sim = max_similarity_pst_with_scratch(
+                                    &cluster.pst,
+                                    background,
+                                    seq,
+                                    &mut scratch,
+                                );
+                                (BoundedSimilarity::Exact(sim), false)
+                            }
                             // With a model cache, the slot's automaton is
                             // fetched through it — retained builds survive
                             // across scans within the cache's byte budget.
                             None => match models.as_deref_mut() {
                                 Some(mc) => {
-                                    if !mc.contains(cluster.id) {
+                                    let build_span = (!mc.contains(cluster.id)).then(|| {
                                         compiles += 1;
-                                    }
+                                        options.trace.map(|t| t.span(Phase::AutomatonCompile))
+                                    });
                                     let automaton = mc
                                         .get_or_build(cluster, background, kernel)
                                         .expect("automaton-backed kernel");
+                                    drop(build_span);
                                     (automaton.scan_pruned(seq, prune_below), false)
                                 }
                                 None => {
                                     let automaton = automata[slot].get_or_insert_with(|| {
                                         compiles += 1;
+                                        let _span =
+                                            options.trace.map(|t| t.span(Phase::AutomatonCompile));
                                         ClusterAutomaton::build(&cluster.pst, background, kernel)
                                             .expect("automaton-backed kernel")
                                     });
@@ -505,7 +489,6 @@ pub fn recluster_full(
                         };
                     let mutated = state.apply(seq_id, slot, verdict, seq, cluster, reused);
                     if mutated {
-                        automata[slot] = None;
                         if let Some(mc) = models.as_deref_mut() {
                             mc.invalidate(cluster.id);
                         }
@@ -605,6 +588,7 @@ pub fn recluster_full(
             let automata: Option<Vec<Arc<ClusterAutomaton>>> = if kernel.uses_automaton() {
                 // Automaton builds are part of the score phase's bill:
                 // they only exist to serve this pass.
+                let _span = options.trace.map(|t| t.span(Phase::AutomatonCompile));
                 let start = std::time::Instant::now();
                 let built: Vec<Arc<ClusterAutomaton>> = match models.as_deref_mut() {
                     Some(mc) => {
@@ -685,7 +669,7 @@ pub fn recluster_full(
     }
 
     // Model-cache invalidation: the scan knows exactly which models it
-    // mutated. (The serial arms invalidate inline at each mutation; doing
+    // mutated. (The serial arm invalidates inline at each mutation; doing
     // it again here is a harmless no-op. Under `rebuild_psts` every model
     // is replaced below, so everything cached dies.)
     if let Some(mc) = models {
@@ -1031,6 +1015,73 @@ mod tests {
                 base.rebuild_psts,
             );
         }
+    }
+
+    /// The serial compiled scan builds each slot's automaton at most once
+    /// per scan, however many sequences join the slot mid-scan, and still
+    /// reproduces the interpreted kernel bit for bit.
+    #[test]
+    fn incremental_compiled_scan_builds_each_automaton_at_most_once() {
+        let texts: Vec<String> = (0..12)
+            .map(|i| {
+                if i % 2 == 0 {
+                    format!("{}aab", "ab".repeat(6 + i))
+                } else {
+                    format!("{}cd", "c".repeat(12 + i))
+                }
+            })
+            .collect();
+        let db = SequenceDatabase::from_strs(texts.iter().map(|s| s.as_str()));
+        let bg = db.background();
+        let order: Vec<usize> = (0..db.len()).collect();
+        let observe = |out: &ReclusterOutcome, clusters: &[Cluster]| {
+            (
+                out.similarities
+                    .iter()
+                    .map(|s| s.to_bits())
+                    .collect::<Vec<_>>(),
+                out.best_cluster.clone(),
+                clusters
+                    .iter()
+                    .map(|c| (c.members.clone(), c.pst.total_count(), c.pst.node_count()))
+                    .collect::<Vec<_>>(),
+            )
+        };
+
+        let mut interpreted = make_clusters(&db, &[0, 1]);
+        let reference = recluster(
+            &db,
+            &mut interpreted,
+            0.05,
+            &order,
+            &bg,
+            with_kernel(incremental(), ScanKernel::Interpreted),
+        );
+        assert!(
+            reference.metrics.new_joins >= 8,
+            "each cluster must absorb several joins mid-scan, got {}",
+            reference.metrics.new_joins
+        );
+
+        let mut compiled = make_clusters(&db, &[0, 1]);
+        let mut models = ModelCache::new(usize::MAX);
+        let out = recluster_full(
+            &db,
+            &mut compiled,
+            0.05,
+            &order,
+            &bg,
+            with_kernel(incremental(), ScanKernel::Compiled),
+            None,
+            Some(&mut models),
+        );
+        assert!(
+            models.stats().1 <= compiled.len() as u64,
+            "{} builds for {} slots",
+            models.stats().1,
+            compiled.len()
+        );
+        assert_eq!(observe(&out, &compiled), observe(&reference, &interpreted));
     }
 
     /// With pruning enabled, hopeless pairs are counted — not silently

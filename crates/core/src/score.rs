@@ -32,7 +32,7 @@ use crate::similarity::{
     max_similarity_pst, max_similarity_pst_with_scratch, prune_count, BoundedSimilarity,
     SegmentSimilarity, BATCH_LANES,
 };
-use crate::trace::{self, Counter, HistKind, TraceSession};
+use crate::trace::{self, Counter, HistKind, Phase, TraceSession};
 
 /// Maps `f` over `0..n` using up to `threads` scoped worker threads.
 ///
@@ -394,6 +394,9 @@ impl ScoreEngine {
         // Build automata for dirty slots only — clean slots never touch
         // their model, so steady state pays zero compilation.
         let automata: Vec<Option<ClusterAutomaton>> = if kernel.uses_automaton() {
+            let _span = trace
+                .filter(|_| !dirty_slots.is_empty())
+                .map(|t| t.span(Phase::AutomatonCompile));
             parallel_map(clusters.len(), self.threads, |slot| {
                 columns[slot].is_none().then(|| {
                     ClusterAutomaton::build(&clusters[slot].pst, background, kernel)

@@ -91,6 +91,7 @@ pub fn select_seeds_detailed(
     // Existing cluster models are compiled once and reused for every
     // candidate; each picked candidate's model is compiled once below.
     let cluster_automata: Option<Vec<ClusterAutomaton>> = kernel.uses_automaton().then(|| {
+        let _span = trace.map(|t| t.span(Phase::AutomatonCompile));
         parallel_map(clusters.len(), threads, |i| {
             ClusterAutomaton::build(&clusters[i].pst, background, kernel)
                 .expect("automaton-backed kernel")
@@ -141,6 +142,7 @@ pub fn select_seeds_detailed(
         // Fold the new seed into every remaining candidate's best score.
         let _span = trace.map(|t| t.span(Phase::SeedingScore));
         let pick_automaton = cluster_automata.as_ref().map(|_| {
+            let _span = trace.map(|t| t.span(Phase::AutomatonCompile));
             ClusterAutomaton::build(&candidate_psts[pick], background, kernel)
                 .expect("automaton-backed kernel")
         });

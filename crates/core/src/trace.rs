@@ -49,14 +49,19 @@
 //! ```text
 //! iteration
 //! ├── seeding
+//! │   ├── automaton_compile
 //! │   └── seeding_score
+//! │       └── automaton_compile
+//! ├── automaton_compile   (the snapshot scan's builds)
 //! ├── scan_score
+//! │   └── automaton_compile
 //! ├── scan_absorb
 //! ├── consolidate
 //! ├── threshold
 //! └── checkpoint_save
 //! resume            (once, replaying a checkpoint's records)
 //! finalize          (once, the final assignment sweep)
+//! └── automaton_compile
 //! ```
 //!
 //! Span self time is total time minus the time of directly nested spans,
@@ -172,6 +177,10 @@ metric_table! {
         CheckpointSave => "checkpoint_save", "One checkpoint write attempt.";
         Resume => "resume", "Replaying a checkpoint's stored records on resume.";
         Finalize => "finalize", "The final assignment sweep.";
+        /// Always nested inside one of the spans above, so it adds nothing
+        /// to a sum over the top-level phases.
+        AutomatonCompile => "automaton_compile",
+            "Compiling cluster models into scan automata (nested in its caller's span).";
     }
 }
 

@@ -41,17 +41,30 @@
 //! string, so the matched suffix is at least as long as any walk result.
 //!
 //! **Goto construction.** States are sorted by (length, lexicographic),
-//! so every proper prefix of a state precedes it. In one pass we compute
-//! classic Aho–Corasick failure links — `fail(u)` is the longest proper
-//! suffix of `u` that is a state, via `fail(u) = goto[fail(prefix(u))]
-//! [last(u)]` on already-completed rows — and dense goto rows:
-//! `goto[u][s] = u·s` when that string is a state, else
-//! `goto[fail(u)][s]` (the root falls back to itself). The prefix
+//! so every proper prefix of a state precedes it. Each non-root state `v`
+//! is registered once, by one binary search over the sorted strings, as
+//! the *explicit child* `prefix(v)·last(v)` of its one-shorter prefix. In
+//! one pass we then compute classic Aho–Corasick failure links —
+//! `fail(u)` is the longest proper suffix of `u` that is a state, via
+//! `fail(u) = goto[fail(prefix(u))][last(u)]` on already-completed rows —
+//! and dense goto rows: the root's row is the root itself except at its
+//! explicit children, and row `u` is a copy of row `fail(u)` (complete,
+//! since `fail(u)` is shorter than `u`) with `u`'s explicit children
+//! written over it. That is the definition `goto[u][s] = u·s` when that
+//! string is a state, else `goto[fail(u)][s]`, entry for entry. The prefix
 //! closure is also suffix-closed — drop-oldest commutes with
 //! drop-newest, and a significant node's parent is significant because
 //! counts are monotone — so the failure chain never leaves the state
 //! set. This matches the interpreted scanner exactly, pre- *and*
 //! post-prune.
+//!
+//! **Ratio construction.** A ratio row depends on its emit node only
+//! through the node's successor counts, so each row is a copy of one of
+//! two rows built once per compile — the `1/|ℑ|` row for a successor-less
+//! node, otherwise the row of a never-seen successor (`0/total = +0.0`)
+//! — with the node's observed successors written over it. A build thus
+//! pays one `ln()` per observed successor, not one per `(state, symbol)`
+//! entry.
 //!
 //! **Bit-identity.** The ratio table is filled with the *same* `f64`
 //! expression chain the interpreted path evaluates per symbol —
@@ -136,11 +149,31 @@ impl CompiledPst {
                 .map(|i| i as u32)
         };
 
+        // Every non-root state `v` is the explicit child `prefix(v)·last(v)`
+        // of its one-shorter prefix, and the (length, lexicographic) order
+        // keeps `prefix` non-decreasing in `v`: each state's explicit
+        // children are one contiguous run of later states.
+        let mut prefix = vec![0u32; states];
+        for v in 1..states {
+            let string = &strings[v];
+            prefix[v] = find(&string[..string.len() - 1]).expect("state set is prefix-closed");
+        }
+
+        // The two rows every ratio row starts from: a successor-less node
+        // predicts `1/|ℑ|` for every symbol, and any other node predicts
+        // `0/total = +0.0` for a symbol it never saw.
+        let row_for = |raw: f64| -> Vec<f64> {
+            let ln_p = pst.smooth(raw).ln();
+            background.ln_probs().iter().map(|&bg| ln_p - bg).collect()
+        };
+        let uniform = row_for(1.0 / n as f64);
+        let unseen = row_for(0.0);
+
         let mut fail = vec![0u32; states];
-        let mut goto_table = vec![0u32; states * n];
+        let mut goto_table = vec![Self::START; states * n];
         let mut ratio = vec![0.0f64; states * n];
         let mut best_step = vec![f64::NEG_INFINITY; states];
-        let mut extended: Vec<Symbol> = Vec::new();
+        let mut next_child = 1;
 
         for u in 0..states {
             let string = &strings[u];
@@ -149,9 +182,20 @@ impl CompiledPst {
             // Aho–Corasick failure link over completed shorter rows;
             // depth-0 and depth-1 states fail to the root.
             if string.len() >= 2 {
-                let prefix = find(&string[..string.len() - 1]).expect("state set is prefix-closed");
                 let last = string[string.len() - 1];
-                fail[u] = goto_table[fail[prefix as usize] as usize * n + last.index()];
+                fail[u] = goto_table[fail[prefix[u] as usize] as usize * n + last.index()];
+            }
+
+            // Goto: the failure state's completed row (the root's row is
+            // all START), overwritten at this state's explicit children.
+            if u > 0 {
+                let from = fail[u] as usize * n;
+                goto_table.copy_within(from..from + n, row);
+            }
+            while next_child < states && prefix[next_child] as usize == u {
+                let last = strings[next_child][string.len()];
+                goto_table[row + last.index()] = next_child as u32;
+                next_child += 1;
             }
 
             // The node this state predicts from: the definitional root walk
@@ -161,27 +205,19 @@ impl CompiledPst {
             // be sitting on.
             let node = pst.node(pst.prediction_node(string));
             let total = node.next_total();
-            for s in 0..n {
-                let sym = Symbol(s as u16);
-
-                extended.clear();
-                extended.extend_from_slice(string);
-                extended.push(sym);
-                goto_table[row + s] = match find(&extended) {
-                    Some(v) => v,
-                    None if u == 0 => Self::START,
-                    None => goto_table[fail[u] as usize * n + s],
-                };
-
+            let ratio_row = &mut ratio[row..row + n];
+            if total == 0 {
+                ratio_row.copy_from_slice(&uniform);
+            } else {
+                ratio_row.copy_from_slice(&unseen);
                 // The exact expression chain of the interpreted path:
                 // `ContextScanner::predict_and_advance` + the similarity DP.
-                let raw = if total == 0 {
-                    1.0 / n as f64
-                } else {
-                    node.next_count(sym) as f64 / total as f64
-                };
-                let x = pst.smooth(raw).ln() - background.ln_prob(sym);
-                ratio[row + s] = x;
+                for &(sym, count) in &node.next {
+                    let raw = count as f64 / total as f64;
+                    ratio_row[sym.index()] = pst.smooth(raw).ln() - background.ln_prob(sym);
+                }
+            }
+            for &x in ratio_row.iter() {
                 if x > best_step[u] {
                     best_step[u] = x;
                 }
@@ -245,6 +281,95 @@ mod tests {
     use super::*;
     use crate::params::PstParams;
     use cluseq_seq::{Alphabet, Sequence};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The definitional construction: one binary search, one allocation
+    /// and one `ln()` per `(state, symbol)` entry. [`CompiledPst::compile`]
+    /// must reproduce it entry for entry.
+    fn compile_reference(pst: &Pst, background: &BackgroundModel) -> CompiledPst {
+        let n = pst.alphabet_size();
+        let mut strings: Vec<Vec<Symbol>> = Vec::new();
+        for id in pst.live_node_ids().filter(|&id| pst.is_significant(id)) {
+            let label = pst.label(id);
+            for k in 0..=label.len() {
+                strings.push(label[..k].to_vec());
+            }
+        }
+        strings.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
+        strings.dedup();
+        let states = strings.len();
+        let find = |s: &[Symbol]| -> Option<u32> {
+            strings
+                .binary_search_by(|p| p.len().cmp(&s.len()).then_with(|| p.as_slice().cmp(s)))
+                .ok()
+                .map(|i| i as u32)
+        };
+        let mut fail = vec![0u32; states];
+        let mut goto_table = vec![0u32; states * n];
+        let mut ratio = vec![0.0f64; states * n];
+        let mut best_step = vec![f64::NEG_INFINITY; states];
+        for u in 0..states {
+            let string = &strings[u];
+            let row = u * n;
+            if string.len() >= 2 {
+                let prefix = find(&string[..string.len() - 1]).unwrap();
+                let last = string[string.len() - 1];
+                fail[u] = goto_table[fail[prefix as usize] as usize * n + last.index()];
+            }
+            let node = pst.node(pst.prediction_node(string));
+            let total = node.next_total();
+            for s in 0..n {
+                let sym = Symbol(s as u16);
+                let mut extended = string.clone();
+                extended.push(sym);
+                goto_table[row + s] = match find(&extended) {
+                    Some(v) => v,
+                    None if u == 0 => CompiledPst::START,
+                    None => goto_table[fail[u] as usize * n + s],
+                };
+                let raw = if total == 0 {
+                    1.0 / n as f64
+                } else {
+                    node.next_count(sym) as f64 / total as f64
+                };
+                let x = pst.smooth(raw).ln() - background.ln_prob(sym);
+                ratio[row + s] = x;
+                if x > best_step[u] {
+                    best_step[u] = x;
+                }
+            }
+        }
+        let max_step_plus = best_step.iter().fold(0.0f64, |a, &b| a.max(b));
+        CompiledPst {
+            alphabet: n,
+            goto_table,
+            ratio,
+            best_step,
+            max_step_plus,
+        }
+    }
+
+    /// Demands that `compile` equals [`compile_reference`] in every table
+    /// entry, to the bit.
+    fn assert_matches_reference(pst: &Pst, background: &BackgroundModel, ctx: &str) {
+        let fast = CompiledPst::compile(pst, background);
+        let slow = compile_reference(pst, background);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(fast.alphabet, slow.alphabet, "{ctx}");
+        assert_eq!(fast.goto_table, slow.goto_table, "{ctx}: goto");
+        assert_eq!(bits(&fast.ratio), bits(&slow.ratio), "{ctx}: ratio");
+        assert_eq!(
+            bits(&fast.best_step),
+            bits(&slow.best_step),
+            "{ctx}: best_step"
+        );
+        assert_eq!(
+            fast.max_step_plus.to_bits(),
+            slow.max_step_plus.to_bits(),
+            "{ctx}: max_step_plus"
+        );
+    }
 
     fn build(text: &str, c: u64, smoothing: bool) -> (Alphabet, Pst) {
         let alphabet = Alphabet::from_chars("abc".chars());
@@ -409,5 +534,91 @@ mod tests {
             assert_eq!(next, CompiledPst::START);
         }
         assert!(compiled.table_bytes() > 0);
+    }
+
+    #[test]
+    fn compile_matches_the_reference_on_the_fixtures() {
+        let bg = BackgroundModel::uniform(3);
+        for (text, c, smoothing) in [
+            ("abcabcaabbccabcbacbca", 2, true),
+            ("abcabcabcabc", 2, true),
+            ("abcabcabcabc", 2, false),
+            ("abcabcaabbccab", 1, true),
+            ("abc", 1000, true),
+        ] {
+            let (_, pst) = build(text, c, smoothing);
+            assert_matches_reference(&pst, &bg, text);
+        }
+        let (_, mut pruned) = build("abcabcaabbccabacbcabcabc", 1, true);
+        pruned.prune_to(pruned.bytes() / 2);
+        assert_matches_reference(&pruned, &bg, "pruned fixture");
+    }
+
+    #[test]
+    fn compile_matches_the_reference_on_an_empty_tree() {
+        // The root has no successors: every row is the uniform row.
+        for n in [1usize, 2, 7] {
+            let pst = Pst::new(n, PstParams::default());
+            assert_matches_reference(&pst, &BackgroundModel::uniform(n), "empty");
+            let raw = Pst::new(n, PstParams::default().without_smoothing());
+            assert_matches_reference(&raw, &BackgroundModel::uniform(n), "empty, raw");
+        }
+    }
+
+    #[test]
+    fn compile_matches_the_reference_on_random_trees() {
+        let mut rng = StdRng::seed_from_u64(0x5eed_c0de);
+        let mut broken_links = 0;
+        let mut most_states = 0;
+        for case in 0..60 {
+            let n = match case % 4 {
+                0 => rng.gen_range(2..=4),
+                1 => rng.gen_range(5..=20),
+                2 => rng.gen_range(21..=60),
+                _ => rng.gen_range(61..=100),
+            };
+            let depth = rng.gen_range(2..=8);
+            let significance = rng.gen_range(1..=10);
+            let mut params = PstParams::default()
+                .with_max_depth(depth)
+                .with_significance(significance);
+            if case % 3 == 0 {
+                params = params.without_smoothing();
+            }
+            // Skewed symbols so some contexts repeat and grow significant.
+            let hot = rng.gen_range(1..=n.min(6));
+            let draw = |rng: &mut StdRng| {
+                let s = if rng.gen_bool(0.8) {
+                    rng.gen_range(0..hot)
+                } else {
+                    rng.gen_range(0..n)
+                };
+                Symbol(s as u16)
+            };
+            let mut pst = Pst::new(n, params);
+            for _ in 0..rng.gen_range(1..=6) {
+                let len = rng.gen_range(1..=300);
+                let seq: Vec<Symbol> = (0..len).map(|_| draw(&mut rng)).collect();
+                pst.add_segment(&seq);
+            }
+            let probs: Vec<f64> = (0..n).map(|_| rng.gen_range(0.5..2.0)).collect();
+            let total: f64 = probs.iter().sum();
+            let bg = BackgroundModel::from_probs(probs.iter().map(|p| p / total).collect());
+            let ctx = format!("case {case}: n {n} depth {depth} c {significance}");
+            assert_matches_reference(&pst, &bg, &ctx);
+            most_states = most_states.max(CompiledPst::compile(&pst, &bg).state_count());
+            if case % 2 == 0 {
+                // Pruning away nodes with outgoing right links breaks them.
+                pst.prune_to(pst.bytes() * rng.gen_range(3..=8) / 10);
+                broken_links += usize::from(!pst.right_links_intact());
+                assert_matches_reference(&pst, &bg, &format!("{ctx}, pruned"));
+            }
+        }
+        // The sweep must reach deep automata and link-broken trees.
+        assert!(most_states > 100, "largest automaton: {most_states} states");
+        assert!(
+            broken_links > 5,
+            "pruned trees with broken links: {broken_links}"
+        );
     }
 }

@@ -97,8 +97,18 @@ fn assert_fixture_resumes_identically(name: &str, params: CluseqParams) -> Check
     assert_eq!(fresh.best_cluster, resumed.best_cluster);
     assert_eq!(fresh.outliers, resumed.outliers);
     assert_eq!(fresh.history, resumed.history);
+    // A replayed record keeps the automaton builds of the code that wrote
+    // the fixture: `pst_recompiles` counts work, not meaning, and the scan
+    // may do less of it today. So the expected report is the fresh run's
+    // with each replayed record's `pst_recompiles` taken from the fixture;
+    // every other counter, and every record the resume computes itself,
+    // is compared byte for byte.
+    let mut expected_report = fresh_report;
+    for (record, stored) in expected_report.iterations.iter_mut().zip(&ckpt.records) {
+        record.scan.pst_recompiles = stored.scan.pst_recompiles;
+    }
     assert_eq!(
-        fresh_report.counters_json(),
+        expected_report.counters_json(),
         resumed_report.counters_json(),
         "telemetry counters must survive the format boundary"
     );

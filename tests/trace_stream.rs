@@ -255,7 +255,7 @@ const COUNTER_NAMES: [&str; 26] = [
 ];
 
 /// The span phases in `Phase::ALL` order.
-const PHASE_NAMES: [&str; 10] = [
+const PHASE_NAMES: [&str; 11] = [
     "iteration",
     "seeding",
     "seeding_score",
@@ -266,6 +266,7 @@ const PHASE_NAMES: [&str; 10] = [
     "checkpoint_save",
     "resume",
     "finalize",
+    "automaton_compile",
 ];
 
 /// Every event kind appears, parses, and carries exactly its schema's
