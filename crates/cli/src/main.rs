@@ -23,6 +23,7 @@
 mod args;
 mod top;
 
+use std::io::{self, BufWriter, Write};
 use std::process::ExitCode;
 
 use args::Args;
@@ -207,13 +208,31 @@ fn main() -> ExitCode {
         Some("serve") => serve(&args),
         Some("top") => top::run(&args),
         Some("trace-summary") => trace_summary(&args),
-        Some("help") | None => {
-            print!("{USAGE}");
-            ExitCode::SUCCESS
-        }
+        Some("help") | None => emit(|out| out.write_all(USAGE.as_bytes())),
         Some(other) => {
             eprintln!("error: unknown subcommand {other:?}\n\n{USAGE}");
             ExitCode::from(2)
+        }
+    }
+}
+
+/// Runs `body` against a buffered, locked stdout and ends the command.
+fn emit(body: impl FnOnce(&mut dyn Write) -> io::Result<()>) -> ExitCode {
+    let mut out = BufWriter::new(io::stdout().lock());
+    finish_output(body(&mut out).and_then(|()| out.flush()))
+}
+
+/// The exit code of a command whose output went to stdout. A reader that
+/// closed the pipe early (`cluseq cluster FILE | head`) has taken all the
+/// output it wants, so a broken pipe ends the command quietly and
+/// successfully; any other write error is reported.
+fn finish_output(written: io::Result<()>) -> ExitCode {
+    match written {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: writing to stdout: {e}");
+            ExitCode::FAILURE
         }
     }
 }
@@ -283,7 +302,7 @@ fn generate(args: &Args) -> ExitCode {
                 db.class_count()
             );
         }
-        None => print!("{text}"),
+        None => return emit(|out| out.write_all(text.as_bytes())),
     }
     ExitCode::SUCCESS
 }
@@ -694,38 +713,43 @@ fn cluster(args: &Args, evaluate: bool) -> ExitCode {
             &outcome.membership_lists(),
             MatchStrategy::Hungarian,
         );
-        println!("accuracy\t{:.4}", c.accuracy());
-        println!("precision\t{:.4}", c.macro_precision());
-        println!("recall\t{:.4}", c.macro_recall());
-        println!("clusters\t{}", outcome.cluster_count());
-        println!("final_t\t{:.4}", outcome.final_t());
-        for m in c.class_metrics() {
-            println!(
-                "class\t{}\tsize\t{}\tprecision\t{:.4}\trecall\t{:.4}",
-                m.class, m.size, m.precision, m.recall
-            );
-        }
-    } else {
-        if let Some(path) = args.get_str("save-model") {
-            let model = SavedModel::from_outcome(&outcome);
-            match std::fs::File::create(path) {
-                Ok(mut f) => {
-                    if let Err(e) = model.save(&mut f) {
-                        eprintln!("error: writing model {path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                    eprintln!(
-                        "model with {} clusters saved to {path}",
-                        model.cluster_count()
-                    );
-                }
-                Err(e) => {
-                    eprintln!("error: creating {path}: {e}");
+        return emit(|out| {
+            writeln!(out, "accuracy\t{:.4}", c.accuracy())?;
+            writeln!(out, "precision\t{:.4}", c.macro_precision())?;
+            writeln!(out, "recall\t{:.4}", c.macro_recall())?;
+            writeln!(out, "clusters\t{}", outcome.cluster_count())?;
+            writeln!(out, "final_t\t{:.4}", outcome.final_t())?;
+            for m in c.class_metrics() {
+                writeln!(
+                    out,
+                    "class\t{}\tsize\t{}\tprecision\t{:.4}\trecall\t{:.4}",
+                    m.class, m.size, m.precision, m.recall
+                )?;
+            }
+            Ok(())
+        });
+    }
+    if let Some(path) = args.get_str("save-model") {
+        let model = SavedModel::from_outcome(&outcome);
+        match std::fs::File::create(path) {
+            Ok(mut f) => {
+                if let Err(e) = model.save(&mut f) {
+                    eprintln!("error: writing model {path}: {e}");
                     return ExitCode::FAILURE;
                 }
+                eprintln!(
+                    "model with {} clusters saved to {path}",
+                    model.cluster_count()
+                );
+            }
+            Err(e) => {
+                eprintln!("error: creating {path}: {e}");
+                return ExitCode::FAILURE;
             }
         }
-        // One line per sequence: id, best cluster (or -), all memberships.
+    }
+    // One line per sequence: id, best cluster (or -), all memberships.
+    emit(|out| {
         for i in 0..store.len() {
             let best = outcome.best_cluster[i]
                 .map(|b| b.to_string())
@@ -737,10 +761,10 @@ fn cluster(args: &Args, evaluate: bool) -> ExitCode {
                 .filter(|(_, c)| c.contains(i))
                 .map(|(k, _)| k.to_string())
                 .collect();
-            println!("{i}\t{best}\t{}", homes.join(","));
+            writeln!(out, "{i}\t{best}\t{}", homes.join(","))?;
         }
-    }
-    ExitCode::SUCCESS
+        Ok(())
+    })
 }
 
 fn serve(args: &Args) -> ExitCode {
@@ -863,10 +887,7 @@ fn trace_summary(args: &Args) -> ExitCode {
         return ExitCode::from(2);
     };
     match sink::read_trace(std::path::Path::new(path)) {
-        Ok(replay) => {
-            print!("{}", summary::render_summary(&replay));
-            ExitCode::SUCCESS
-        }
+        Ok(replay) => emit(|out| out.write_all(summary::render_summary(&replay).as_bytes())),
         Err(e) => {
             eprintln!("error: reading trace {path}: {e}");
             ExitCode::FAILURE
@@ -902,17 +923,19 @@ fn classify(args: &Args) -> ExitCode {
         model.cluster_count(),
         model.log_t
     );
-    for (i, seq, _) in db.iter() {
-        let joined = model.assign(seq.symbols());
-        match joined.first() {
-            Some(&(best, sim)) => {
-                let all: Vec<String> = joined.iter().map(|(k, _)| k.to_string()).collect();
-                println!("{i}\t{best}\t{sim:.2}\t{}", all.join(","));
+    emit(|out| {
+        for (i, seq, _) in db.iter() {
+            let joined = model.assign(seq.symbols());
+            match joined.first() {
+                Some(&(best, sim)) => {
+                    let all: Vec<String> = joined.iter().map(|(k, _)| k.to_string()).collect();
+                    writeln!(out, "{i}\t{best}\t{sim:.2}\t{}", all.join(","))?;
+                }
+                None => writeln!(out, "{i}\t-\t-\t")?,
             }
-            None => println!("{i}\t-\t-\t"),
         }
-    }
-    ExitCode::SUCCESS
+        Ok(())
+    })
 }
 
 fn inspect(args: &Args) -> ExitCode {
@@ -933,35 +956,39 @@ fn inspect(args: &Args) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    println!(
-        "model: {} clusters, decision threshold ln t = {:.3}",
-        model.cluster_count(),
-        model.log_t
-    );
     // Model files carry symbol ids, not names; render with synthetic names.
     let n_sym = model.background.alphabet_size();
     let alphabet = cluseq_seq::Alphabet::synthetic(n_sym);
     let max_nodes: usize = args.get("max-nodes", 20);
-    for (k, cluster) in model.clusters.iter().enumerate() {
-        let stats = cluster.pst.stats();
-        println!(
-            "\ncluster {k} (id {}): {} nodes ({} significant), depth {}, {} bytes, count {}",
-            cluster.id,
-            stats.nodes,
-            stats.significant_nodes,
-            stats.max_depth,
-            stats.bytes,
-            stats.total_count
-        );
-        let options = cluseq_pst::RenderOptions {
-            max_nodes,
-            max_depth: 2,
-            min_prob: 0.05,
-            ..Default::default()
-        };
-        print!("{}", cluster.pst.render(&alphabet, options));
-    }
-    ExitCode::SUCCESS
+    emit(|out| {
+        writeln!(
+            out,
+            "model: {} clusters, decision threshold ln t = {:.3}",
+            model.cluster_count(),
+            model.log_t
+        )?;
+        for (k, cluster) in model.clusters.iter().enumerate() {
+            let stats = cluster.pst.stats();
+            writeln!(
+                out,
+                "\ncluster {k} (id {}): {} nodes ({} significant), depth {}, {} bytes, count {}",
+                cluster.id,
+                stats.nodes,
+                stats.significant_nodes,
+                stats.max_depth,
+                stats.bytes,
+                stats.total_count
+            )?;
+            let options = cluseq_pst::RenderOptions {
+                max_nodes,
+                max_depth: 2,
+                min_prob: 0.05,
+                ..Default::default()
+            };
+            out.write_all(cluster.pst.render(&alphabet, options).as_bytes())?;
+        }
+        Ok(())
+    })
 }
 
 #[cfg(test)]

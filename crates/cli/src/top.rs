@@ -71,12 +71,14 @@ pub fn run(args: &Args) -> ExitCode {
         };
         let frame = render(&addr, &previous, &current);
         if once {
-            print!("{frame}");
-            return ExitCode::SUCCESS;
+            return crate::emit(|out| out.write_all(frame.as_bytes()));
         }
         // ANSI clear + home: redraw in place.
-        print!("\x1b[2J\x1b[H{frame}");
-        let _ = std::io::stdout().flush();
+        let mut out = std::io::stdout().lock();
+        let drawn = write!(out, "\x1b[2J\x1b[H{frame}").and_then(|()| out.flush());
+        if drawn.is_err() {
+            return crate::finish_output(drawn);
+        }
         previous = current;
         std::thread::sleep(interval);
     }

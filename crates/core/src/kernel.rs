@@ -9,11 +9,12 @@
 //! single-sequence scan and the eight-lane interleaved scan of
 //! [`max_similarity_compiled_batch`]. Serial call-sites (one sequence at a
 //! time, models evolving mid-scan) use [`ClusterAutomaton::scan_pruned`];
-//! bulk passes hand lane groups to [`ClusterAutomaton::scan_batch`], which
-//! picks the driver from the automaton's [table
-//! size](ClusterAutomaton::table_bytes). Both drivers perform each lane's
-//! arithmetic in the same order, so the choice changes memory behavior,
-//! never a result.
+//! the score engine's bulk pass hands [`ClusterAutomaton::scan_batch`] a
+//! whole tile of sequences per automaton, and `scan_batch` picks the
+//! driver from the automaton's [table size](ClusterAutomaton::table_bytes)
+//! (the lane driver groups the tile's sequences into lanes by length).
+//! Both drivers perform each lane's arithmetic in the same order, so the
+//! choice changes memory behavior, never a result.
 
 use cluseq_pst::{CompiledPst, Pst};
 use cluseq_seq::{BackgroundModel, Symbol};

@@ -21,8 +21,9 @@
 //! within a tolerance.
 
 use std::borrow::Borrow;
+use std::ops::Range;
 
-use cluseq_seq::{BackgroundModel, Sequence, SequenceStore, Symbol};
+use cluseq_seq::{BackgroundModel, SequenceStore, StoreReader, Symbol};
 
 use crate::cluster::Cluster;
 use crate::config::ScanKernel;
@@ -135,6 +136,81 @@ pub fn plan_chunk(n: usize, threads: usize) -> usize {
         n.max(1)
     } else {
         n.div_ceil(threads)
+    }
+}
+
+/// About how many symbols one tile of the bulk pass holds (see
+/// `tile_plan`): a worker scans this many against one automaton before it
+/// moves on to the next. Chosen by a sweep of 2^18, 2^19 and 2^20 on the
+/// out-of-core assignment benchmark (EXPERIMENTS.md, "The tiled bulk
+/// pass").
+const TILE_SYMBOLS: usize = 1 << 19;
+
+/// Splits an `n`-sequence order into the bulk pass's tiles: contiguous
+/// ranges of positions that cover `0..n` in order.
+///
+/// The plan depends only on `n`, the store's mean sequence length and the
+/// thread count. Every tile but the last holds whole lane groups of
+/// [`BATCH_LANES`] sequences, and the groups are spread evenly over
+/// enough tiles that none is expected to hold more than `TILE_SYMBOLS`
+/// symbols by more than one lane group. The tile count is a multiple of
+/// `threads`, so [`parallel_map_with`] hands every worker the same
+/// number of tiles, and at least `2 × threads`, below which that map runs
+/// serially; an order with fewer lane groups than the count gets one
+/// group per tile.
+fn tile_plan(n: usize, mean_len: usize, threads: usize) -> Vec<Range<usize>> {
+    let groups = n.div_ceil(BATCH_LANES);
+    let threads = threads.clamp(1, groups.max(1));
+    let expected = groups.saturating_mul(BATCH_LANES).saturating_mul(mean_len);
+    let tiles = expected
+        .div_ceil(TILE_SYMBOLS)
+        .max(2 * threads)
+        .next_multiple_of(threads)
+        .min(groups);
+    (0..tiles)
+        .map(|t| {
+            let lo = t * groups / tiles * BATCH_LANES;
+            let hi = ((t + 1) * groups / tiles * BATCH_LANES).min(n);
+            lo..hi
+        })
+        .collect()
+}
+
+/// A bulk-pass worker's state: its store cursor plus one flat symbol
+/// arena, sized once from the tile plan and refilled for every tile. The
+/// copy keeps every sequence of a tile alive at once, which a reader
+/// cannot: it hands out one slice at a time, and a file-backed reader's
+/// slice is invalid after its next fetch.
+struct TileArena<'a> {
+    reader: Box<dyn StoreReader + 'a>,
+    symbols: Vec<Symbol>,
+    /// `(start, len)` of each of the tile's sequences within `symbols`.
+    spans: Vec<(usize, usize)>,
+}
+
+impl<'a> TileArena<'a> {
+    fn new(reader: Box<dyn StoreReader + 'a>, max_tile: usize, mean_len: usize) -> Self {
+        Self {
+            reader,
+            symbols: Vec::with_capacity(max_tile * mean_len),
+            spans: Vec::with_capacity(max_tile),
+        }
+    }
+
+    /// Replaces the arena's contents with the symbols of `ids` and returns
+    /// one slice per id, in order.
+    fn load(&mut self, ids: &[usize]) -> Vec<&[Symbol]> {
+        self.symbols.clear();
+        self.spans.clear();
+        for &id in ids {
+            let seq = self.reader.symbols(id);
+            self.spans.push((self.symbols.len(), seq.len()));
+            self.symbols.extend_from_slice(seq);
+        }
+        self.spans
+            .iter()
+            .map(|&(start, len)| &self.symbols[start..start + len])
+            .collect()
     }
 }
 
@@ -286,15 +362,18 @@ impl ScoreEngine {
     /// back [`BoundedSimilarity::Pruned`] instead (see
     /// [`crate::similarity::max_similarity_compiled_bounded`]).
     ///
-    /// The order is split into [`BATCH_LANES`]-wide lane groups and each
-    /// group goes to [`ClusterAutomaton::scan_batch`], which picks the
-    /// driver per automaton from its table size; per-lane results equal
-    /// the single-sequence scan either way. The grouping is fixed, not
-    /// thread-dependent, so it is part of the deterministic plan. When
-    /// `trace` is given, each worker records `pairs_scored`,
-    /// `pairs_pruned` and one `score_row` latency observation per lane
-    /// group into its own shard. The kernel argument chooses nothing: the
-    /// tables baked into `automata` already fix what is scanned.
+    /// The pass is automaton-major over tiles of about 2^19 symbols
+    /// (`tile_plan`): a worker copies one tile's symbols into its arena,
+    /// then hands the whole tile to [`ClusterAutomaton::scan_batch`] once
+    /// per automaton, so it scans the tile against one automaton's tables
+    /// before it touches the next one's. `scan_batch` picks the
+    /// driver per automaton from its table size and groups the tile's
+    /// lanes by length; per-lane results equal the single-sequence scan
+    /// either way, so no verdict depends on the tile layout. When `trace`
+    /// is given, each worker records `pairs_scored`, `pairs_pruned` and
+    /// one `score_row` latency observation per tile into its own shard.
+    /// The kernel argument chooses nothing: the tables baked into
+    /// `automata` already fix what is scanned.
     ///
     /// `automata` is generic over [`Borrow`] so both owned
     /// `[ClusterAutomaton]` slices and `[std::sync::Arc<ClusterAutomaton>]`
@@ -310,44 +389,43 @@ impl ScoreEngine {
         trace: Option<&TraceSession>,
     ) -> (Vec<Vec<BoundedSimilarity>>, u64) {
         let start = std::time::Instant::now();
-        let n_groups = order.len().div_ceil(BATCH_LANES);
-        let chunk = plan_chunk(n_groups, self.threads);
-        let group_rows: Vec<Vec<Vec<BoundedSimilarity>>> = parallel_map_with(
-            n_groups,
+        let mean_len = store
+            .total_symbols()
+            .checked_div(store.len() as u64)
+            .unwrap_or(0) as usize;
+        let tiles = tile_plan(order.len(), mean_len, self.threads);
+        let max_tile = tiles.iter().map(Range::len).max().unwrap_or(0);
+        let chunk = plan_chunk(tiles.len(), self.threads);
+        let tile_rows: Vec<Vec<Vec<BoundedSimilarity>>> = parallel_map_with(
+            tiles.len(),
             self.threads,
-            || store.reader(),
-            |reader, g| {
-                let group_start = std::time::Instant::now();
-                let lo = g * BATCH_LANES;
-                let hi = (lo + BATCH_LANES).min(order.len());
-                // The lane driver needs every lane's symbols alive at
-                // once; a reader hands out one slice at a time, so the
-                // lanes are copied into an owned arena first.
-                let lanes: Vec<Sequence> =
-                    (lo..hi).map(|pos| reader.sequence(order[pos])).collect();
-                let seqs: Vec<&[Symbol]> = lanes.iter().map(Sequence::symbols).collect();
-                let mut rows: Vec<Vec<BoundedSimilarity>> = (lo..hi)
+            || TileArena::new(store.reader(), max_tile, mean_len),
+            |arena, t| {
+                let tile_start = std::time::Instant::now();
+                let seqs = arena.load(&order[tiles[t].clone()]);
+                let mut rows: Vec<Vec<BoundedSimilarity>> = seqs
+                    .iter()
                     .map(|_| Vec::with_capacity(automata.len()))
                     .collect();
                 for automaton in automata {
                     let lane_verdicts = automaton.borrow().scan_batch(&seqs, prune_below);
-                    for (lane, verdict) in lane_verdicts.into_iter().enumerate() {
-                        rows[lane].push(verdict);
+                    for (row, verdict) in rows.iter_mut().zip(lane_verdicts) {
+                        row.push(verdict);
                     }
                 }
                 if let Some(trace) = trace {
-                    let shard = trace::shard_for(g, chunk);
+                    let shard = trace::shard_for(t, chunk);
                     let scored = (rows.len() * automata.len()) as u64;
                     let pruned: u64 = rows.iter().map(|row| prune_count(row)).sum();
                     trace.add_at(shard, Counter::PairsScored, scored);
                     trace.add_at(shard, Counter::PairsPruned, pruned);
-                    trace.observe(HistKind::ScoreRow, shard, trace::nanos_since(group_start));
+                    trace.observe(HistKind::ScoreRow, shard, trace::nanos_since(tile_start));
                 }
                 rows
             },
         );
         (
-            group_rows.into_iter().flatten().collect(),
+            tile_rows.into_iter().flatten().collect(),
             trace::nanos_since(start),
         )
     }
@@ -566,7 +644,10 @@ mod tests {
     /// Two clusters seeded on long pseudo-random texts over 24 letters,
     /// every context significant, so their automata overflow
     /// [`crate::kernel::LANE_CROSSOVER_BYTES`] and bulk passes run the
-    /// lane driver; 19 probes of mixed lengths leave a partial lane group.
+    /// lane driver. The 203 probes of mixed lengths, 17 of them empty,
+    /// span several tiles at every thread count, so a tile's length
+    /// grouping puts sequences that lie far apart in the order into one
+    /// lane group; they also leave a partial lane group.
     fn large_fixture() -> (SequenceDatabase, BackgroundModel, Vec<Cluster>) {
         let mut x = 0x2545_f491u32;
         let mut text = |len: usize| -> String {
@@ -580,11 +661,12 @@ mod tests {
                 .collect()
         };
         let mut texts = vec![text(3_000), text(3_000)];
-        for i in 0..17 {
-            texts.push(match i % 3 {
-                0 => texts[0][i * 40..i * 40 + 30 + 7 * i].to_string(),
-                1 => texts[1][i * 50..i * 50 + 90].to_string(),
-                _ => text(20 + 11 * i),
+        for i in 0..203 {
+            texts.push(match i % 4 {
+                0 => texts[0][i * 13 % 2_500..][..i * 7 % 400].to_string(),
+                1 => texts[1][i * 11 % 2_500..][..90].to_string(),
+                2 if i % 3 == 0 => String::new(),
+                _ => text(20 + i * 37 % 300),
             });
         }
         let db = SequenceDatabase::from_strs(texts.iter().map(String::as_str));
@@ -734,7 +816,7 @@ mod tests {
                 ScoreEngine::new(1).compile_cluster_automata(&clusters, &bg, ScanKernel::Compiled);
             for prune_below in [None, Some(0.5)] {
                 let want = per_pair_rows(&db, &automata, &order, prune_below);
-                for threads in [1usize, 2, 4] {
+                for threads in [1usize, 2, 3, 4] {
                     let (rows, _) = ScoreEngine::new(threads).score_sequences_automata_metered(
                         &db,
                         &automata,
@@ -788,11 +870,12 @@ mod tests {
                 assert_eq!(session.counter(Counter::PairsScored), expected);
                 let pruned: u64 = plain.iter().map(|row| prune_count(row)).sum();
                 assert_eq!(session.counter(Counter::PairsPruned), pruned);
+                let tiles = tile_plan(order.len(), db.total_symbols() / db.len(), threads);
                 let hist = session.shared().hist_counts(HistKind::ScoreRow);
                 assert_eq!(
                     hist.iter().sum::<u64>(),
-                    order.len().div_ceil(BATCH_LANES) as u64,
-                    "one score_row observation per lane group"
+                    tiles.len() as u64,
+                    "one score_row observation per tile"
                 );
             }
         }
@@ -913,27 +996,84 @@ mod tests {
                 let automata =
                     engine.compile_cluster_automata(&clusters, &bg, ScanKernel::Compiled);
                 for prune_below in [None, Some(0.5)] {
-                    let score = |store: &dyn SequenceStore| {
-                        engine
-                            .score_sequences_automata_metered(
-                                store,
-                                &automata,
-                                &order,
-                                prune_below,
-                                ScanKernel::Compiled,
-                                None,
-                            )
-                            .0
-                    };
+                    let (rows, _) = engine.score_sequences_automata_metered(
+                        &store,
+                        &automata,
+                        &order,
+                        prune_below,
+                        ScanKernel::Compiled,
+                        None,
+                    );
                     assert_eq!(
-                        score(&db),
-                        score(&store),
+                        rows,
+                        per_pair_rows(&db, &automata, &order, prune_below),
                         "{name} threads={threads} prune={prune_below:?}"
                     );
                 }
             }
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn tile_plan_covers_the_order_in_lane_groups_shared_by_the_workers() {
+        for n in [0usize, 1, 7, 8, 300, 16_384, 100_000] {
+            let groups = n.div_ceil(BATCH_LANES);
+            for threads in [1usize, 2, 3, 4, 8] {
+                for mean_len in [0usize, 10, 200, 10_000] {
+                    let case = format!("n={n} threads={threads} mean_len={mean_len}");
+                    let tiles = tile_plan(n, mean_len, threads);
+                    let mut next = 0;
+                    for tile in &tiles {
+                        assert_eq!(tile.start, next, "{case}: tiles cover 0..n in order");
+                        assert!(!tile.is_empty(), "{case}");
+                        next = tile.end;
+                    }
+                    assert_eq!(next, n, "{case}: tiles cover 0..n in order");
+                    for tile in tiles.iter().rev().skip(1) {
+                        assert_eq!(tile.len() % BATCH_LANES, 0, "{case}: whole lane groups");
+                    }
+                    assert!(
+                        tiles.len() % threads == 0 || tiles.len() == groups,
+                        "{case}: {} tiles share unevenly over the workers",
+                        tiles.len()
+                    );
+                    assert!(
+                        tiles.len() >= (2 * threads).min(groups),
+                        "{case}: {} tiles would run serially",
+                        tiles.len()
+                    );
+                    for tile in &tiles {
+                        assert!(
+                            tile.len() * mean_len <= TILE_SYMBOLS + BATCH_LANES * mean_len,
+                            "{case}: a tile of {} sequences is too large",
+                            tile.len()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_empty_order_scores_to_no_rows() {
+        let (_, bg, clusters) = fixture();
+        let automata =
+            ScoreEngine::new(1).compile_cluster_automata(&clusters, &bg, ScanKernel::Compiled);
+        let empty = SequenceDatabase::from_strs([]);
+        for threads in [1usize, 4] {
+            let session = TraceSession::in_memory();
+            let (rows, _) = ScoreEngine::new(threads).score_sequences_automata_metered(
+                &empty,
+                &automata,
+                &[],
+                Some(0.5),
+                ScanKernel::Compiled,
+                Some(&session),
+            );
+            assert!(rows.is_empty());
+            assert_eq!(session.counter(Counter::PairsScored), 0);
+        }
     }
 
     #[test]

@@ -344,8 +344,8 @@ pub fn max_similarity_compiled_bounded(
 /// automaton. Eight lanes give the memory system eight independent table
 /// loads per position (vs. one dependent chain for the single-sequence
 /// scan) while the per-lane DP registers still fit in machine registers /
-/// L1. Fixed — not thread-count dependent — so the engine's lane grouping
-/// is part of the deterministic plan.
+/// L1. No lane observes which others share its chunk, so however a caller
+/// groups sequences into lanes, every verdict stays the same.
 pub const BATCH_LANES: usize = 8;
 
 /// Batched [`max_similarity_compiled`]: scans up to [`BATCH_LANES`] (or

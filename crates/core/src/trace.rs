@@ -249,12 +249,11 @@ metric_table! {
     /// A fixed-bucket latency histogram in the registry.
     pub enum HistKind {
         /// Recorded by each worker in its own shard: one observation per
-        /// sequence, or per lane group of up to
-        /// [`BATCH_LANES`](crate::similarity::BATCH_LANES) sequences in the
-        /// compiled snapshot pass.
+        /// sequence, or per tile of sequences in the compiled snapshot
+        /// pass ([`crate::ScoreEngine::score_sequences_automata_metered`]).
         ScoreRow => "score_row",
             "Latency of scoring one sequence against all clusters; one \
-             lane group of up to eight sequences in compiled snapshot passes.";
+             tile of sequences in compiled snapshot passes.";
         IterationWall => "iteration_wall", "Wall time of one whole iteration.";
         CheckpointWrite => "checkpoint_write", "Wall time of one checkpoint write.";
         ServeAssign => "serve_assign", "End-to-end ASSIGN latency, first byte to write-back.";

@@ -381,17 +381,19 @@ impl FileStore {
             None => scan_index(&mut reader, declared_count, file_len)?,
         };
 
-        // One sequential pass for the background counts — the same
-        // smoothed arithmetic as `SequenceDatabase::background`, so the
-        // two stores produce bit-identical models for the same content.
+        // One sequential pass through a reader's window for the background
+        // counts — the same smoothed arithmetic as
+        // `SequenceDatabase::background`, so the two stores produce
+        // bit-identical models for the same content.
+        let window_bytes = window_bytes.max(1);
         let mut counts = vec![0u64; alphabet.len()];
         let mut total_symbols = 0u64;
-        let mut scratch_bytes = Vec::new();
-        for e in &index {
-            let byte_len = e.len as usize * 2;
-            scratch_bytes.resize(byte_len, 0);
-            file.read_exact_at(&mut scratch_bytes, e.offset)?;
-            for chunk in scratch_bytes.chunks_exact(2) {
+        let mut window = Window::default();
+        for &e in &index {
+            for chunk in window
+                .fetch(&file, file_len, window_bytes, e)?
+                .chunks_exact(2)
+            {
                 let s = u16::from_le_bytes([chunk[0], chunk[1]]) as usize;
                 if s >= alphabet.len() {
                     return Err(BinError::Corrupt("symbol id out of range"));
@@ -407,7 +409,7 @@ impl FileStore {
             file_len,
             alphabet,
             index,
-            window_bytes: window_bytes.max(1),
+            window_bytes,
             background,
             total_symbols,
         })
@@ -443,8 +445,7 @@ impl SequenceStore for FileStore {
     fn reader(&self) -> Box<dyn StoreReader + '_> {
         Box::new(FileReader {
             store: self,
-            window: Vec::new(),
-            window_start: 0,
+            window: Window::default(),
             decoded: Vec::new(),
         })
     }
@@ -462,39 +463,67 @@ impl SequenceStore for FileStore {
     }
 }
 
-/// A [`FileStore`] cursor: one resident window of raw file bytes plus a
-/// decode buffer. Fetches inside the window are pure decodes; a miss
-/// slides the window to start at the requested record.
+/// A resident window of raw file bytes, the one read path of a
+/// [`FileStore`]: a record inside the window is a slice of it, and a miss
+/// slides the window to start at the record with one positioned read.
+#[derive(Debug, Default)]
+struct Window {
+    bytes: Vec<u8>,
+    start: u64,
+}
+
+impl Window {
+    /// The raw symbol bytes of record `e`, reading `window_bytes` of
+    /// `file` from the record on when they are not resident.
+    fn fetch(
+        &mut self,
+        file: &File,
+        file_len: u64,
+        window_bytes: usize,
+        e: IndexEntry,
+    ) -> io::Result<&[u8]> {
+        let byte_len = e.len as usize * 2;
+        let in_window = e.offset >= self.start
+            && e.offset + byte_len as u64 <= self.start + self.bytes.len() as u64;
+        if !in_window {
+            // Oversized records get a one-off exact-sized window rather
+            // than failing.
+            let take = (file_len - e.offset).min(window_bytes.max(byte_len) as u64) as usize;
+            self.bytes.resize(take, 0);
+            if let Err(err) = file.read_exact_at(&mut self.bytes, e.offset) {
+                self.bytes.clear();
+                return Err(err);
+            }
+            self.start = e.offset;
+        }
+        let rel = (e.offset - self.start) as usize;
+        Ok(&self.bytes[rel..rel + byte_len])
+    }
+}
+
+/// A [`FileStore`] cursor: one resident window of raw file bytes plus
+/// a decode buffer. Fetches inside the window are pure decodes.
 pub struct FileReader<'a> {
     store: &'a FileStore,
-    window: Vec<u8>,
-    window_start: u64,
+    window: Window,
     decoded: Vec<Symbol>,
 }
 
 impl StoreReader for FileReader<'_> {
     fn symbols(&mut self, i: usize) -> &[Symbol] {
-        let e = self.store.index[i];
-        let byte_len = e.len as usize * 2;
-        let in_window = e.offset >= self.window_start
-            && e.offset + byte_len as u64 <= self.window_start + self.window.len() as u64;
-        if !in_window {
-            // Slide the window to the record; oversized records get a
-            // one-off exact-sized window rather than failing.
-            let take = (self.store.file_len - e.offset)
-                .min(self.store.window_bytes.max(byte_len) as u64) as usize;
-            self.window.resize(take, 0);
-            self.store
-                .file
-                .read_exact_at(&mut self.window, e.offset)
-                .expect("read from validated sequence store");
-            self.window_start = e.offset;
-        }
-        let rel = (e.offset - self.window_start) as usize;
+        let store = self.store;
+        let raw = self
+            .window
+            .fetch(
+                &store.file,
+                store.file_len,
+                store.window_bytes,
+                store.index[i],
+            )
+            .expect("read from validated sequence store");
         self.decoded.clear();
         self.decoded.extend(
-            self.window[rel..rel + byte_len]
-                .chunks_exact(2)
+            raw.chunks_exact(2)
                 .map(|c| Symbol(u16::from_le_bytes([c[0], c[1]]))),
         );
         &self.decoded
